@@ -250,10 +250,13 @@ def collect_run(scenario: Scenario, definitions, store, *, probe_plans=(), amend
     """Run every corpus observer over the scenario's stream and account for it.
 
     Probes are scheduled before any observer subscribes, so the probe tweets
-    travel the same delivery path as regular traffic.  All observers share one
-    store; the manifest gets one counter block per corpus plus a completeness
-    report for every probed corpus.  On failure the manifest is still written
-    (status "failed") and the original error is re-raised.
+    travel the same delivery path as regular traffic.  Every corpus is
+    registered in the store first, so one that stores nothing still gets a
+    completeness report.  Observers then run one after another, in sorted
+    corpus order, on one shared store; the manifest gets one counter block per
+    corpus plus a completeness report for every probed corpus.  Every observer
+    runs even if an earlier one failed; the manifest is then written with
+    status "failed" and the first error is re-raised.
     """
     defs = _validate_names(definitions, probe_plans, amendments)
     config_pairs = tuple((str(p), file_hash(p)) for p in config_paths)
@@ -277,6 +280,8 @@ def collect_run(scenario: Scenario, definitions, store, *, probe_plans=(), amend
         )
 
     try:
+        for name in sorted(defs):
+            store.ensure_corpus(name)
         for plan in probe_plans:
             probes = inject_probes(defs[plan.corpus], source, interval=plan.interval, count=plan.count)
             probes_by_corpus[plan.corpus] = probes
@@ -289,22 +294,17 @@ def collect_run(scenario: Scenario, definitions, store, *, probe_plans=(), amend
             handles.append(run_observer(defs[name], source, store, amendments=plans,
                                         run_log=run_log, clock=clock))
         for h in handles:
-            h.join()
-        snaps = [h.stop() for h in handles]
-        for h in handles:
             if h.fatal_error is not None:
                 raise h.fatal_error
         for name in sorted(probes_by_corpus):
             if probes_by_corpus[name]:
                 reports.append(compute_completeness(store, probes_by_corpus[name], window=defs[name].window))
     except Exception as exc:
-        for h in handles:
-            h.stop()
         manifest = build("failed", f"{type(exc).__name__}: {exc}", [h.snapshot() for h in handles])
         if manifest_path is not None:
             write_manifest(manifest, manifest_path)
         raise
-    manifest = build("ok", None, snaps)
+    manifest = build("ok", None, [h.snapshot() for h in handles])
     if manifest_path is not None:
         write_manifest(manifest, manifest_path)
     return manifest

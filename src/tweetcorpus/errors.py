@@ -38,10 +38,6 @@ class SourceUnavailable(SourceError):
     """A (re)subscription attempt failed because the source is down."""
 
 
-class ObserverStopped(TweetCorpusError):
-    """A control request reached an observer that is no longer running."""
-
-
 class StoreError(TweetCorpusError):
     """Persistence failure or a bad request against the corpus store."""
 

@@ -1,30 +1,28 @@
-"""Concurrent stream observers.
+"""Stream observers.
 
-Each observer instance subscribes to a stream source with a compiled
-query, re-checks every delivered event against the corpus matcher, and
-appends the matches to the store.  Transport is at-least-once: the store
-append is idempotent and redeliveries surface as a duplicate count, not
-as double rows.
+Each observer subscribes to a stream source with a compiled query,
+re-checks every delivered event against the corpus matcher, and appends
+the matches to the store.  Transport is at-least-once: the store append
+is idempotent and redeliveries surface as a duplicate count, not as
+double rows.
 
 Disconnects open a gap record and trigger bounded exponential backoff
 (1 s initial, doubling, 60 s cap, 10 attempts); the gap closes at the
 reconnect time, so every event lost while disconnected falls inside a
-recorded interval.  Live amendments widen the query forward from their
-timestamp and recover the authored backlog of added accounts; mentions
-of those accounts from before the amendment stay unrecoverable, and the
-amendment record says so.
+recorded interval.  Scheduled amendments widen the query forward from
+their timestamp and recover the authored backlog of added accounts;
+mentions of those accounts from before the amendment stay unrecoverable,
+and the amendment record says so.
 
-Control flow between threads is message passing only: ``amend`` and
-``stop`` enqueue requests that the observer loop itself applies at an
-event boundary.
+``run_observer`` runs one observer to completion in the calling thread.
+Observers of different corpora share nothing but the source and the
+store, so running them one after another gives the same corpora as any
+interleaving.
 """
 
 from __future__ import annotations
 
-import bisect
 import json
-import queue
-import threading
 import time
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta
@@ -38,13 +36,7 @@ from .corpus import (
     compile_query,
     matches,
 )
-from .errors import (
-    ConfigError,
-    ObserverStopped,
-    SourceDisconnected,
-    SourceUnavailable,
-    StoreError,
-)
+from .errors import ConfigError, SourceDisconnected, SourceUnavailable, StoreError
 from .tweets import TweetRecord, format_timestamp
 
 BACKOFF_INITIAL_S = 1
@@ -128,7 +120,7 @@ class ObserverInstance:
     observer_id: str
     corpus: str
     query: StreamQuery
-    state: str  # starting | running | reconnecting | stopped
+    state: str  # starting | stopped
     seen: int
     matched: int
     stored: int
@@ -164,37 +156,22 @@ def _widened(definition: CorpusDefinition, accounts, keywords):
     raise ConfigError(f"{definition.name}: this collection strategy cannot be amended")
 
 
-@dataclass
-class _Control:
-    kind: str  # "amend"
-    at: datetime
-    accounts: tuple
-    keywords: tuple
-    backfill: bool
-    reply: queue.Queue
-
-
 class ObserverHandle:
-    """Running observer; counters and control live here.
+    """One observer's definition, counters and run log.
 
-    All mutation happens on the observer thread; other threads only read
-    snapshots or enqueue control messages.
+    ``run_observer`` runs it to completion; afterwards ``snapshot`` gives
+    the final counters and ``fatal_error`` the error that ended it, if any.
     """
 
-    def __init__(self, definition, source, sink, *, observer_id=None, at=None,
-                 amendments=(), run_log=None, clock=None, max_retries=MAX_RETRIES):
+    def __init__(self, definition, source, sink, *, amendments=(), run_log=None, clock=None):
         self._definition = definition
         self._query = compile_query(definition)
         self._source = source
         self._sink = sink
-        self.observer_id = observer_id or f"to-{definition.name}"
-        self._initial_at = at
+        self.observer_id = f"to-{definition.name}"
         self._clock = clock
-        self._max_retries = max_retries
-        # pending amendments: (plan, reply queue or None), kept sorted by time
-        self._pending = sorted(((p, None) for p in amendments), key=lambda e: e[0].at)
+        self._pending = sorted(amendments, key=lambda p: p.at)
 
-        self._lock = threading.Lock()
         self._state = "starting"
         self._seen = 0
         self._matched = 0
@@ -205,79 +182,38 @@ class ObserverHandle:
         self._gaps: list[GapRecord] = []
         self._amendments: list[AmendmentEvent] = []
         self.fatal_error: Exception | None = None
-
-        self._control: queue.Queue = queue.Queue()
-        self._stop_event = threading.Event()
         self._log_fh = open(Path(run_log), "a", encoding="utf-8", buffering=1) if run_log else None
-        self._thread = threading.Thread(target=self._run, name=self.observer_id, daemon=True)
-        self._thread.start()
-
-    # -- public control -----------------------------------------------------
 
     def snapshot(self) -> ObserverInstance:
-        with self._lock:
-            return ObserverInstance(
-                observer_id=self.observer_id,
-                corpus=self._definition.name,
-                query=self._query,
-                state=self._state,
-                seen=self._seen,
-                matched=self._matched,
-                stored=self._stored,
-                duplicates=self._duplicates,
-                dropped_by_source=self._dropped,
-                gaps=tuple(self._gaps),
-                amendments=tuple(self._amendments),
-            )
-
-    @property
-    def state(self) -> str:
-        with self._lock:
-            return self._state
-
-    def amend(self, *, accounts=(), keywords=(), at: datetime, backfill: bool = True) -> AmendmentEvent:
-        """Widen the live query from ``at`` forward; blocks until applied."""
-        if not self._thread.is_alive():
-            raise ObserverStopped(f"{self.observer_id}: observer is not running")
-        reply: queue.Queue = queue.Queue()
-        self._control.put(_Control("amend", at, tuple(accounts), tuple(keywords), backfill, reply))
-        while True:
-            try:
-                status, payload = reply.get(timeout=0.05)
-            except queue.Empty:
-                if not self._thread.is_alive():
-                    raise ObserverStopped(f"{self.observer_id}: observer stopped before the amendment applied")
-                continue
-            if status == "ok":
-                return payload
-            raise payload
-
-    def stop(self) -> ObserverInstance:
-        """Idempotent: stop the loop (if still running) and snapshot."""
-        self._stop_event.set()
-        self._thread.join()
-        return self.snapshot()
-
-    def join(self, timeout=None):
-        self._thread.join(timeout)
-        return not self._thread.is_alive()
+        return ObserverInstance(
+            observer_id=self.observer_id,
+            corpus=self._definition.name,
+            query=self._query,
+            state=self._state,
+            seen=self._seen,
+            matched=self._matched,
+            stored=self._stored,
+            duplicates=self._duplicates,
+            dropped_by_source=self._dropped,
+            gaps=tuple(self._gaps),
+            amendments=tuple(self._amendments),
+        )
 
     # -- observer loop --------------------------------------------------------
 
     def _run(self):
         try:
             self._loop()
-        except Exception as exc:  # fatal: surface via the handle, never hang
+        except Exception as exc:  # fatal: recorded on the handle for the caller
             self.fatal_error = exc
         finally:
-            self._set_state("stopped")
-            self._reject_pending_control()
+            self._state = "stopped"
             if self._log_fh:
                 self._log_fh.close()
 
     def _loop(self):
-        at = self._initial_at
-        while not self._stop_event.is_set():
+        at = None
+        while True:
             try:
                 sub = self._subscribe(at)
             except SourceUnavailable:
@@ -287,7 +223,6 @@ class ObserverHandle:
                 if at is None:
                     return
                 continue
-            self._set_state("running")
             self._log("subscribed", at, query={
                 "followIds": list(self._query.follow_ids),
                 "trackTerms": list(self._query.track_terms),
@@ -296,63 +231,46 @@ class ObserverHandle:
             try:
                 resume_at = self._consume(sub)
             except SourceDisconnected as exc:
-                self._set_state("reconnecting")
                 self._open_gap(exc.at)
                 at = self._reconnect(exc.at)
                 if at is None:
                     return
                 continue
-            if resume_at is not None:
-                at = resume_at
-                continue
-            return
+            if resume_at is None:
+                return
+            at = resume_at
 
     def _subscribe(self, at):
-        with self._lock:
-            self._dropped_base = self._dropped
-        if at is None:
-            return self._source.subscribe(self._query)
-        return self._source.subscribe(self._query, at=at)
+        self._dropped_base = self._dropped
+        return self._source.subscribe(self._query, at=at, subscriber=self.observer_id)
 
     def _consume(self, sub):
         """Process items; returns a resubscribe time after an amendment."""
         for item in sub:
-            if self._stop_event.is_set():
-                return None
             if item.kind == "limit":
-                with self._lock:
-                    self._dropped = self._dropped_base + item.dropped_total
+                self._dropped = self._dropped_base + item.dropped_total
                 continue
             t = item.tweet
-            self._enqueue_control(now=t.created_at)
-            while self._pending and self._pending[0][0].at <= t.created_at:
+            if self._pending and self._pending[0].at <= t.created_at:
                 # apply before delivering the first at-or-after event; the
                 # new subscription redelivers this item
-                resume = self._apply_plan(*self._pending.pop(0))
-                if resume is not None:
-                    return resume
+                return self._amend(self._pending.pop(0))
             self._process(t, item.is_probe)
-        self._enqueue_control(now=None)
-        while self._pending:
-            resume = self._apply_plan(*self._pending.pop(0))
-            if resume is not None:
-                return resume
+        if self._pending:
+            return self._amend(self._pending.pop(0))
         return None
 
     def _process(self, t: TweetRecord, is_probe: bool):
-        with self._lock:
-            self._seen += 1
+        self._seen += 1
         if not matches(t, self._definition):
             return
-        with self._lock:
-            self._matched += 1
+        self._matched += 1
         self._log("matched", t.created_at, tweetId=t.id)
         outcome = self._append(t, is_probe=is_probe, stored_at=t.created_at)
-        with self._lock:
-            if outcome == "appended":
-                self._stored += 1
-            else:
-                self._duplicates += 1
+        if outcome == "appended":
+            self._stored += 1
+        else:
+            self._duplicates += 1
         self._log("stored" if outcome == "appended" else "duplicate", t.created_at, tweetId=t.id)
 
     def _append(self, t, *, is_probe, stored_at):
@@ -368,93 +286,43 @@ class ObserverHandle:
         """Backoff retries; returns the reconnect time, or None if exhausted."""
         delay = BACKOFF_INITIAL_S
         elapsed = 0
-        for _ in range(self._max_retries):
-            if self._stop_event.is_set():
-                return None
+        for _ in range(MAX_RETRIES):
             elapsed += delay
             delay = min(delay * 2, BACKOFF_CAP_S)
             attempt = opened_at + timedelta(seconds=elapsed)
             if self._clock is not None:
                 self._clock.sleep_until(attempt)
             try:
-                self._source.subscribe(self._query, at=attempt)
+                self._source.subscribe(self._query, at=attempt, subscriber=self.observer_id)
             except SourceUnavailable:
                 continue
             self._close_gap(attempt)
             return attempt
         return None  # terminal gap stays open
 
-    def _enqueue_control(self, now: datetime | None):
-        """Move control messages into the pending queue.
-
-        A request timed at-or-before ``now`` (or arriving after the stream
-        is exhausted, ``now`` None) becomes due immediately; a future one
-        waits for the stream to reach it.
-        """
-        due_index = 0
-        while True:
-            try:
-                msg = self._control.get_nowait()
-            except queue.Empty:
-                return
-            plan = AmendmentPlan(at=msg.at, accounts=msg.accounts,
-                                 keywords=msg.keywords, backfill=msg.backfill)
-            entry = (plan, msg.reply)
-            if now is not None and msg.at > now:
-                bisect.insort(self._pending, entry, key=lambda e: e[0].at)
-            else:
-                self._pending.insert(due_index, entry)
-                due_index += 1
-
-    def _reject_pending_control(self):
-        while True:
-            try:
-                msg = self._control.get_nowait()
-            except queue.Empty:
-                break
-            msg.reply.put(("err", ObserverStopped(f"{self.observer_id}: observer is not running")))
-        for _, reply in self._pending:
-            if reply is not None:
-                reply.put(("err", ObserverStopped(f"{self.observer_id}: observer stopped before the amendment applied")))
-        self._pending = []
-
-    def _apply_plan(self, plan: AmendmentPlan, reply=None):
-        try:
-            event = self._amend_now(plan.accounts, plan.keywords, plan.at, plan.backfill)
-        except Exception as exc:
-            if reply is None:
-                raise
-            reply.put(("err", exc))
-            return None
-        if reply is not None:
-            reply.put(("ok", event))
-        return plan.at
-
-    def _amend_now(self, accounts, keywords, at, backfill):
-        widened, fresh_accounts, fresh_keywords = _widened(self._definition, accounts, keywords)
-        with self._lock:
-            self._definition = widened
-            self._query = compile_query(widened)
+    def _amend(self, plan: AmendmentPlan) -> datetime:
+        """Widen the query from ``plan.at``; returns the resubscribe time."""
+        widened, fresh_accounts, fresh_keywords = _widened(self._definition, plan.accounts, plan.keywords)
+        self._definition = widened
+        self._query = compile_query(widened)
         summaries = []
-        if backfill:
-            summaries = [self._backfill_account(uid, name, at) for uid, name in fresh_accounts]
-        event = AmendmentEvent(
-            at=at,
+        if plan.backfill:
+            summaries = [self._backfill_account(uid, name, plan.at) for uid, name in fresh_accounts]
+        self._amendments.append(AmendmentEvent(
+            at=plan.at,
             corpus=widened.name,
             added_accounts=fresh_accounts,
             added_keywords=fresh_keywords,
             backfill=tuple(summaries),
-        )
-        with self._lock:
-            self._amendments.append(event)
+        ))
         self._log(
-            "amendment", at,
+            "amendment", plan.at,
             addedAccounts=[list(a) for a in fresh_accounts],
             addedKeywords=list(fresh_keywords),
             recovered=sum(s.recovered for s in summaries),
             limitation=NOT_RECOVERABLE,
         )
-        return event
+        return plan.at
 
     def _backfill_account(self, uid, name, at):
         """Authored backlog only; the source has no call for old mentions."""
@@ -467,35 +335,28 @@ class ObserverHandle:
                 continue
             count += 1
             earliest = t.created_at if earliest is None else min(earliest, t.created_at)
-            with self._lock:
-                self._seen += 1
-                self._matched += 1
+            self._seen += 1
+            self._matched += 1
+            self._log("matched", at, tweetId=t.id, via="backfill")
             outcome = self._append(t, is_probe=False, stored_at=at)
-            with self._lock:
-                if outcome == "appended":
-                    self._stored += 1
-                else:
-                    self._duplicates += 1
+            if outcome == "appended":
+                self._stored += 1
+            else:
+                self._duplicates += 1
             self._log("stored" if outcome == "appended" else "duplicate",
                       at, tweetId=t.id, via="backfill")
         return BackfillSummary(user_id=uid, screen_name=name, recovered=count, earliest=earliest)
 
     # -- bookkeeping ----------------------------------------------------------
 
-    def _set_state(self, state):
-        with self._lock:
-            self._state = state
-
     def _open_gap(self, opened_at):
-        with self._lock:
-            self._gaps.append(GapRecord(opened_at=opened_at, closed_at=None))
+        self._gaps.append(GapRecord(opened_at=opened_at, closed_at=None))
         self._log("gap-open", opened_at)
 
     def _close_gap(self, closed_at):
-        with self._lock:
-            g = self._gaps[-1]
-            self._gaps[-1] = GapRecord(opened_at=g.opened_at, closed_at=closed_at)
-        self._log("gap-close", closed_at, openedAt=format_timestamp(self._gaps[-1].opened_at))
+        g = self._gaps[-1]
+        self._gaps[-1] = GapRecord(opened_at=g.opened_at, closed_at=closed_at)
+        self._log("gap-close", closed_at, openedAt=format_timestamp(g.opened_at))
 
     def _log(self, event, at, **extra):
         if self._log_fh is None:
@@ -510,20 +371,14 @@ class ObserverHandle:
         self._log_fh.write(json.dumps(obj, ensure_ascii=False, separators=(",", ":")) + "\n")
 
 
-def run_observer(definition: CorpusDefinition, source, sink, *, observer_id=None,
-                 at: datetime | None = None, amendments=(), run_log=None,
-                 clock=None, max_retries=MAX_RETRIES) -> ObserverHandle:
-    """Start one observer in its own thread and return its handle."""
-    return ObserverHandle(
-        definition, source, sink, observer_id=observer_id, at=at,
-        amendments=amendments, run_log=run_log, clock=clock, max_retries=max_retries,
-    )
+def run_observer(definition: CorpusDefinition, source, sink, *, amendments=(),
+                 run_log=None, clock=None) -> ObserverHandle:
+    """Run one observer to completion in the calling thread; return its handle.
 
-
-def amend(handle: ObserverHandle, *, accounts=(), keywords=(), at: datetime,
-          backfill: bool = True) -> AmendmentEvent:
-    return handle.amend(accounts=accounts, keywords=keywords, at=at, backfill=backfill)
-
-
-def stop(handle: ObserverHandle) -> ObserverInstance:
-    return handle.stop()
+    A fatal error does not raise here: it ends the observer and is left on
+    ``handle.fatal_error`` for the caller to act on.
+    """
+    handle = ObserverHandle(definition, source, sink, amendments=amendments,
+                            run_log=run_log, clock=clock)
+    handle._run()
+    return handle

@@ -27,6 +27,7 @@ from pathlib import Path
 from .authority import FollowGraph, load_follow_graph, write_follow_graph
 from .corpus import CorpusDefinition, StreamQuery, matches, term_in_text
 from .errors import ConfigError, SourceDisconnected, SourceUnavailable
+from .probes import PROBE_AUTHOR
 from .tweets import (
     TweetRecord,
     extract_entities,
@@ -143,9 +144,6 @@ def bundestag_mini(seed: int = 20130922, **overrides) -> ScenarioConfig:
     return replace(ScenarioConfig(seed=seed), **overrides)
 
 
-PROBE_ACCOUNT = (999_999, "messfeder")
-
-
 @dataclass(frozen=True)
 class SimAccount:
     user_id: int
@@ -222,7 +220,7 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
                 display_name=f"Neupartei {i:02d}",
             )
         )
-    accounts.append(SimAccount(user_id=PROBE_ACCOUNT[0], screen_name=PROBE_ACCOUNT[1], kind="probe"))
+    accounts.append(SimAccount(user_id=PROBE_AUTHOR[0], screen_name=PROBE_AUTHOR[1], kind="probe"))
 
     gatekeepers = frozenset(
         a.user_id for a in accounts if a.kind in ("candidate", "journalist", "editor")
@@ -456,10 +454,11 @@ def _delivers(query: StreamQuery, t: TweetRecord, author_of: dict[int, int]) -> 
 class Subscription:
     """One live stream: iterate StreamItems; disconnects raise."""
 
-    def __init__(self, source: "SimStreamSource", query: StreamQuery, at: datetime):
+    def __init__(self, source: "SimStreamSource", query: StreamQuery, at: datetime, subscriber=None):
         self._source = source
         self.query = query
         self.at = at
+        self.subscriber = subscriber
         self._drop = _Accumulator(source.scenario.config.faults.drop_rate)
         self._probe_drop = _Accumulator(source.scenario.config.faults.probe_drop_rate)
 
@@ -471,7 +470,7 @@ class Subscription:
             if source._window_start(w) > self.at
         ]
         windows.sort(key=lambda w: w.start_s)
-        key = (self.query.follow_ids, self.query.track_terms, self.query.sample)
+        key = (self.subscriber, self.query.follow_ids, self.query.track_terms, self.query.sample)
 
         redeliver = []
         if faults.redeliver_on_reconnect and self.at > source.scenario.start:
@@ -550,17 +549,19 @@ class SimStreamSource:
             buf.append(item)
             del buf[:-100]
 
-    def subscribe(self, query: StreamQuery, at: datetime | None = None) -> Subscription:
+    def subscribe(self, query: StreamQuery, at: datetime | None = None, subscriber=None) -> Subscription:
         """Open a stream from simulated time ``at`` (default scenario start).
 
         Subscribing inside a disconnect window fails; after the scenario
-        end it succeeds and delivers nothing.
+        end it succeeds and delivers nothing.  A reconnect redelivers the
+        last items delivered to the same ``subscriber`` on the same query;
+        subscribers that give no id share one buffer per query.
         """
         at = at or self.scenario.start
         for w in self.scenario.config.faults.disconnect_windows:
             if self._window_start(w) <= at < self._window_end(w):
                 raise SourceUnavailable(f"source unreachable at {at}")
-        return Subscription(self, query, at)
+        return Subscription(self, query, at, subscriber)
 
     # -- lookups ------------------------------------------------------------
 

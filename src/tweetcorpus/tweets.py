@@ -19,7 +19,7 @@ import json
 import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .errors import ParseError, SchemaError
 
@@ -293,11 +293,3 @@ def validate(t: TweetRecord) -> list[ValidationIssue]:
         check(f"mentions[{i}]", m.start, m.end, "@", m.screen_name)
     return issues
 
-
-def read_ndjson(path) -> Iterable[TweetRecord]:
-    """Yield records from a newline-delimited JSON tweet file."""
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                yield parse_tweet(line)

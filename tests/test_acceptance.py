@@ -218,7 +218,7 @@ def test_criterion_09_idempotency_and_concurrency(baseline):
         for snap in baseline.manifest.corpora
     )
     ok = no_dupes and algebra and len(baseline.manifest.corpora) == 4
-    assert report(9, "4 concurrent observers: no duplicate (corpus, id), counter algebra holds", ok)
+    assert report(9, "4 observers on one store: no duplicate (corpus, id), counter algebra holds", ok)
 
 
 def test_criterion_10_reproducibility(tmp_path):

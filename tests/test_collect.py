@@ -23,7 +23,7 @@ from tweetcorpus.collect import (
 from tweetcorpus.corpus import AccountQuery, CorpusDefinition, KeywordQuery, TimeWindow
 from tweetcorpus.errors import ConfigError, StoreError
 from tweetcorpus.observer import AmendmentPlan
-from tweetcorpus.sim import EmergentParty, build_scenario, bundestag_mini
+from tweetcorpus.sim import EmergentParty, FaultSchedule, build_scenario, bundestag_mini
 from tweetcorpus.store import CorpusStore, dehydrate
 
 
@@ -52,6 +52,15 @@ class FailingStore(CorpusStore):
 
     def append(self, tweet, corpus, **kw):
         raise StoreError("disk on fire")
+
+
+class FailingForKand(CorpusStore):
+    """Store whose appends fail for corpus ``kand`` only."""
+
+    def append(self, tweet, corpus, **kw):
+        if corpus == "kand":
+            raise StoreError("kand disk on fire")
+        return super().append(tweet, corpus, **kw)
 
 
 class TestCollectRun:
@@ -118,6 +127,16 @@ class TestCollectRun:
         assert set(ev.added_accounts) == set(added)
         assert len(ev.backfill) == len(added)
 
+    def test_probed_corpus_that_stores_nothing_reports_zero(self, tmp_path):
+        s = build_scenario(bundestag_mini(n_tweets=500, faults=FaultSchedule(probe_drop_rate=1.0)))
+        d = CorpusDefinition("leer", KeywordQuery(terms=("zzzkeinwort",)), TimeWindow(s.start, s.end))
+        with CorpusStore(tmp_path / "store") as store:
+            m = collect_run(s, [d], store, probe_plans=[ProbePlan("leer", 5)])
+            assert store.count("leer") == 0
+        assert m.status == "ok"
+        r = m.completeness[0]
+        assert (r.corpus, r.stored, r.created, r.completeness) == ("leer", 0, 5, 0.0)
+
     def test_manifest_table_is_readable(self, tmp_path):
         s = world()
         manifest_path = tmp_path / "manifest.json"
@@ -169,6 +188,19 @@ class TestFailureManifest:
         assert doc["status"] == "failed"
         assert "StoreError" in doc["error"] and "disk on fire" in doc["error"]
         assert [c["corpus"] for c in doc["corpora"]] == ["tag"]
+
+    def test_later_observers_run_after_a_failure(self, tmp_path):
+        s = world()
+        manifest_path = tmp_path / "manifest.json"
+        tag = keyword_def(s)
+        with FailingForKand(tmp_path / "store") as store:
+            with pytest.raises(StoreError, match="kand disk on fire"):
+                collect_run(s, [candidate_def(s), tag], store, manifest_path=manifest_path)
+            stored = {r.tweet.id for r in store.scan("tag")}
+        assert stored == oracle_ids(s, tag)
+        doc = load_manifest(manifest_path)
+        assert doc["status"] == "failed"
+        assert [(c["corpus"], c["stored"]) for c in doc["corpora"]] == [("kand", 0), ("tag", len(stored))]
 
     def test_validation_errors_precede_any_run(self, tmp_path):
         s = world(n_tweets=100)

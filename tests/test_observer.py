@@ -2,7 +2,6 @@
 
 import json
 import math
-import time
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -16,14 +15,8 @@ from tweetcorpus.corpus import (
     RandomSampleQuery,
     TimeWindow,
 )
-from tweetcorpus.errors import ConfigError, ObserverStopped, StoreError
-from tweetcorpus.observer import (
-    AcceleratedClock,
-    AmendmentPlan,
-    amend,
-    run_observer,
-    stop,
-)
+from tweetcorpus.errors import ConfigError, StoreError
+from tweetcorpus.observer import AcceleratedClock, AmendmentPlan, run_observer
 from tweetcorpus.sim import (
     DisconnectWindow,
     EmergentParty,
@@ -66,31 +59,8 @@ def algebra_ok(snap):
 
 
 def finish(h):
-    """Wait for the stream to run out, then take the final snapshot."""
-    assert h.join(timeout=30), "observer did not finish in time"
-    return stop(h)
-
-
-class SlowSource:
-    """Delegating source that paces delivery so control messages can land."""
-
-    def __init__(self, inner, delay=0.0005):
-        self.inner = inner
-        self.delay = delay
-
-    def subscribe(self, query, at=None):
-        sub = self.inner.subscribe(query, at=at) if at is not None else self.inner.subscribe(query)
-        delay = self.delay
-
-        def gen():
-            for item in sub:
-                time.sleep(delay)
-                yield item
-
-        return gen()
-
-    def backfill_timeline(self, user_id, since, until=None):
-        return self.inner.backfill_timeline(user_id, since, until)
+    """Final snapshot of an observer that ``run_observer`` ran to completion."""
+    return h.snapshot()
 
 
 class TestFaultFreeRuns:
@@ -150,13 +120,6 @@ class TestFaultFreeRuns:
                 assert snap.duplicates == 0
                 assert algebra_ok(snap)
                 assert {r.tweet.id for r in store.scan(d.name)} == oracle_ids(s, d)
-
-    def test_stop_is_idempotent(self, tmp_path):
-        s = world()
-        with CorpusStore(tmp_path / "store") as store:
-            h = run_observer(candidate_def(s), open_source(s), store)
-            h.join(timeout=30)
-            assert stop(h) == stop(h)
 
 
 class TestFaults:
@@ -305,7 +268,7 @@ class TestAmendment:
         ]
 
         class ScriptSource:
-            def subscribe(self, query, at=None):
+            def subscribe(self, query, at=None, subscriber=None):
                 def gen():
                     for t in timeline:
                         if at is None or t.created_at >= at:
@@ -332,40 +295,40 @@ class TestAmendment:
     def test_live_amend_replays_from_start(self, tmp_path):
         s = world()
         narrow, wide, added = self.narrow_and_wide(s)
+        plan = AmendmentPlan(at=s.start, accounts=added, backfill=False)
         with CorpusStore(tmp_path / "store") as store:
-            h = run_observer(narrow, SlowSource(open_source(s)), store)
-            event = amend(h, accounts=added, at=s.start, backfill=False)
-            assert event.backfill == ()
+            h = run_observer(narrow, open_source(s), store, amendments=(plan,))
             snap = finish(h)
             assert h.fatal_error is None
+            assert snap.amendments[0].backfill == ()
             stored = {r.tweet.id for r in store.scan(narrow.name)}
         assert stored == oracle_ids(s, wide)
         assert algebra_ok(snap)
 
     def test_amend_rejections(self, tmp_path):
         s = world()
-        narrow, _, added = self.narrow_and_wide(s)
-        with CorpusStore(tmp_path / "store") as store:
-            h = run_observer(narrow, SlowSource(open_source(s)), store)
-            with pytest.raises(ConfigError, match="keyword"):
-                amend(h, keywords=("btw13",), at=s.start)
-            with pytest.raises(ConfigError, match="already observed"):
-                amend(h, accounts=narrow.strategy.accounts[:1], at=s.start)
-            with pytest.raises(ConfigError, match="at least one"):
-                amend(h, at=s.start)
-            h.join(timeout=30)
-            stop(h)
-            with pytest.raises(ObserverStopped):
-                amend(h, accounts=added, at=s.end)
+        narrow, _, _ = self.narrow_and_wide(s)
+        rejected = [
+            (AmendmentPlan(at=s.start, keywords=("btw13",)), "keyword"),
+            (AmendmentPlan(at=s.start, accounts=narrow.strategy.accounts[:1]), "already observed"),
+            (AmendmentPlan(at=s.start), "at least one"),
+        ]
+        for i, (plan, message) in enumerate(rejected):
+            with CorpusStore(tmp_path / f"store{i}") as store:
+                h = run_observer(narrow, open_source(s), store, amendments=(plan,))
+            with pytest.raises(ConfigError, match=message):
+                raise h.fatal_error
+            assert finish(h).state == "stopped"
 
     def test_keyword_amendment_widens_tracking(self, tmp_path):
         s = world()
         d = keyword_def(s)
         wide = CorpusDefinition(d.name, KeywordQuery(hashtags=("wahl2013", "btw13")), d.window)
+        plan = AmendmentPlan(at=s.start, keywords=("btw13",), backfill=False)
         with CorpusStore(tmp_path / "store") as store:
-            h = run_observer(d, SlowSource(open_source(s)), store)
-            amend(h, keywords=("btw13",), at=s.start, backfill=False)
+            h = run_observer(d, open_source(s), store, amendments=(plan,))
             finish(h)
+            assert h.fatal_error is None
             stored = {r.tweet.id for r in store.scan(d.name)}
         assert stored == oracle_ids(s, wide)
 
@@ -394,13 +357,15 @@ class TestRunLog:
         added = tuple((a.user_id, a.screen_name) for a in s.accounts_of_kind("emergent"))
         log = tmp_path / "run.ndjson"
         with CorpusStore(tmp_path / "store") as store:
-            finish(run_observer(
+            snap = finish(run_observer(
                 CorpusDefinition("kand", AccountQuery(accounts=tuple(
                     (a.user_id, a.screen_name) for a in s.accounts_of_kind("candidate"))),
                     TimeWindow(s.start, s.end)),
                 open_source(s), store, run_log=log,
                 amendments=(AmendmentPlan(at=s.emergence_time, accounts=added),)))
         lines = [json.loads(x) for x in log.read_text().splitlines()]
+        assert any(x.get("via") == "backfill" for x in lines if x["event"] == "matched")
+        assert sum(1 for x in lines if x["event"] == "matched") == snap.matched
         opens = [x for x in lines if x["event"] == "gap-open"]
         closes = [x for x in lines if x["event"] == "gap-close"]
         amendments = [x for x in lines if x["event"] == "amendment"]
@@ -443,7 +408,6 @@ class TestSinkFailures:
         with CorpusStore(tmp_path / "store") as store:
             sink = self.Flaky(store, fail_times=10_000)
             h = run_observer(d, open_source(s), sink)
-            h.join(timeout=10)
             snap = finish(h)
         assert snap.state == "stopped"
         assert isinstance(h.fatal_error, StoreError)

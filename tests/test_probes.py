@@ -16,7 +16,7 @@ from tweetcorpus.corpus import (
     matches,
 )
 from tweetcorpus.errors import AnalysisError, ConfigError, SourceError
-from tweetcorpus.observer import run_observer, stop
+from tweetcorpus.observer import run_observer
 from tweetcorpus.probes import (
     DEFAULT_INTERVAL,
     PROBE_AUTHOR,
@@ -50,8 +50,8 @@ def keyword_def(s, name="tag"):
 
 
 def finish(h):
-    assert h.join(timeout=30), "observer did not finish in time"
-    return stop(h)
+    """Final snapshot of an observer that ``run_observer`` ran to completion."""
+    return h.snapshot()
 
 
 class TestInjection:

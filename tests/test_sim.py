@@ -254,6 +254,24 @@ class TestSourceDelivery:
         fresh = [i.tweet for i in resumed_items[10:] if i.kind == "tweet"]
         assert all(t.created_at >= s.start + timedelta(seconds=3100) for t in fresh)
 
+    def test_redelivery_is_per_subscriber(self):
+        cfg = mini(faults=FaultSchedule(disconnect_windows=(DisconnectWindow(3000, 3100),), redeliver_on_reconnect=10))
+        s = build_scenario(cfg)
+        src = open_source(s)
+        q = StreamQuery(sample=True)
+        reconnect = s.start + timedelta(seconds=3100)
+        first_a = []
+        with pytest.raises(SourceDisconnected):
+            for item in src.subscribe(q, subscriber="a"):
+                if item.kind == "tweet":
+                    first_a.append(item.tweet)
+        # another subscriber on the same query reads to the end meanwhile
+        b_items = list(src.subscribe(q, at=reconnect, subscriber="b"))
+        assert b_items[0].tweet.created_at >= reconnect, "b has nothing of its own to replay"
+        resumed = list(src.subscribe(q, at=reconnect, subscriber="a"))
+        replayed = [i.tweet.id for i in resumed[:10] if i.kind == "tweet"]
+        assert replayed == [t.id for t in first_a[-10:]]
+
 
 class TestBackfill:
     def test_authored_only_never_mentions(self):
