@@ -190,9 +190,14 @@ def engagement_depth(posts, actor: int) -> EngagementDepth:
 
 
 def engagement_table(posts) -> list[tuple[int, int, int]]:
-    """(actor, breadth, depth) rows for every actor seen, actor order."""
-    actors = sorted({p.author_id for p in posts})
-    return [(a, engagement_breadth(posts, a), engagement_depth(posts, a).total) for a in actors]
+    """(actor, breadth, depth) rows for every actor seen, actor order, in one
+    sweep; ``engagement_breadth``/``engagement_depth`` are its reference."""
+    walls: dict[int, set[int]] = {}
+    depth: dict[int, int] = {}
+    for p in posts:
+        walls.setdefault(p.author_id, set()).add(p.wall_owner_id)
+        depth[p.author_id] = depth.get(p.author_id, 0) + 1
+    return [(a, len(walls[a]), depth[a]) for a in sorted(walls)]
 
 
 def wall_posts_from_tweets(tweets) -> list[WallPost]:

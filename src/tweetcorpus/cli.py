@@ -69,6 +69,14 @@ def _emit(doc):
     print(json.dumps(doc, indent=1, sort_keys=True))
 
 
+def _open_store(root) -> CorpusStore:
+    """Open a store and log each torn final line it cut off."""
+    store = CorpusStore(root)
+    for corpus, cut in sorted(store.torn.items()):
+        _log("tornTail", bytesCut=cut, corpus=corpus)
+    return store
+
+
 def _clock_factory(args, scenario):
     cls = RealtimeClock if args.clock == "realtime" else AcceleratedClock
     return lambda: cls(scenario.start)
@@ -135,7 +143,7 @@ def _run_inputs(args):
 def cmd_collect_run(args):
     scenario, defs, probe_plans, amendments, config_paths = _run_inputs(args)
     _log("runStarted", corpora=[d.name for d in defs], store=str(args.store))
-    with CorpusStore(args.store) as store:
+    with _open_store(args.store) as store:
         manifest = collect_run(
             scenario, defs, store, probe_plans=probe_plans, amendments=amendments,
             config_paths=config_paths, manifest_path=args.manifest, logs_dir=args.logs,
@@ -170,7 +178,7 @@ def cmd_probe_run(args):
     probed = {p.corpus for p in plans}
     defs = [d for d in defs if d.name in probed]
     _log("probeRunStarted", corpora=sorted(probed), store=str(args.store))
-    with CorpusStore(args.store) as store:
+    with _open_store(args.store) as store:
         manifest = collect_run(
             scenario, defs, store, probe_plans=plans,
             config_paths=[args.world / "scenario.json", args.corpora, args.probes],
@@ -187,7 +195,7 @@ def cmd_probe_report(args):
     defs = {d.name: d for d in load_corpus_config(args.corpora)}
     if corpus not in defs:
         raise ConfigError(f"probe log names corpus {corpus!r}, not defined in {args.corpora}")
-    with CorpusStore(args.store) as store:
+    with _open_store(args.store) as store:
         report = compute_completeness(store, probes, window=defs[corpus].window)
     _emit(report_json(report))
 
@@ -195,14 +203,14 @@ def cmd_probe_report(args):
 # -- store ---------------------------------------------------------------------
 
 def cmd_store_scan(args):
-    with CorpusStore(args.store) as store:
+    with _open_store(args.store) as store:
         for row in store.scan(args.corpus, include_probes=args.include_probes):
             print(serialize_tweet(row.tweet))
 
 
 def cmd_store_dehydrate(args):
     index = load_roster(args.roster).twitter_index() if args.roster else None
-    with CorpusStore(args.store) as store:
+    with _open_store(args.store) as store:
         rows = dehydrate(store, args.corpus, args.out, roster_index=index)
     _log("dehydrated", corpus=args.corpus, path=str(args.out), rows=rows)
     _emit({"corpus": args.corpus, "out": str(args.out), "rows": rows})
@@ -225,7 +233,7 @@ def cmd_store_rehydrate(args):
 
 def cmd_store_privacy_filter(args):
     roster = load_roster(args.roster)
-    with CorpusStore(args.store) as store:
+    with _open_store(args.store) as store:
         derived = privacy_filter(store, args.corpus, roster.twitter_index(), args.derived)
         rows = store.count(derived)
     _emit({"corpus": derived, "rows": rows})
@@ -251,7 +259,7 @@ def cmd_authorities(args):
 
 
 def cmd_engagement(args):
-    with CorpusStore(args.store) as store:
+    with _open_store(args.store) as store:
         rows = store.scan(args.corpus, include_probes=False)
     posts = wall_posts_from_tweets([r.tweet for r in rows])
     _emit({
@@ -264,7 +272,7 @@ def cmd_bias_report(args):
     scenario = load_world(args.world)
     defs = load_corpus_config(args.corpora)
     reference = conversation_reference if args.reference == "conversation" else ground_truth
-    with CorpusStore(args.store) as store:
+    with _open_store(args.store) as store:
         entries = [
             BiasEntry(
                 name=d.name,

@@ -15,6 +15,7 @@ import json
 import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import cached_property
 from typing import Union
 
 from .errors import ConfigError
@@ -62,11 +63,12 @@ class AccountQuery:
         if len(set(ids)) != len(ids):
             raise ConfigError("account list has duplicate user ids")
 
-    @property
+    # computed once per instance; ``replace()`` makes a new instance with a fresh cache
+    @cached_property
     def user_ids(self) -> frozenset[int]:
         return frozenset(i for i, _ in self.accounts)
 
-    @property
+    @cached_property
     def names_lower(self) -> frozenset[str]:
         return frozenset(n.lower() for _, n in self.accounts)
 

@@ -6,13 +6,17 @@ the matches to the store.  Transport is at-least-once: the store append
 is idempotent and redeliveries surface as a duplicate count, not as
 double rows.
 
-Disconnects open a gap record and trigger bounded exponential backoff
-(1 s initial, doubling, 60 s cap, 10 attempts); the gap closes at the
-reconnect time, so every event lost while disconnected falls inside a
-recorded interval.  Scheduled amendments widen the query forward from
-their timestamp and recover the authored backlog of added accounts;
-mentions of those accounts from before the amendment stay unrecoverable,
-and the amendment record says so.
+A refused subscription and a dropped stream are one outage: either opens
+a gap record and starts bounded exponential backoff (1 s initial,
+doubling, 60 s cap, 10 attempts); the gap closes at the reconnect time,
+so every event lost while disconnected falls inside a recorded interval.
+Scheduled amendments widen the query forward from their timestamp and
+recover the authored backlog of added accounts; mentions of those
+accounts from before the amendment stay unrecoverable, and the amendment
+record says so.  A streamed event and a backfilled tweet take the same
+path into the store, counters and run log; a backfilled one is stored and
+logged at the amendment time, marked ``via: "backfill"``, and only the
+matched ones count as seen.
 
 ``run_observer`` runs one observer to completion in the calling thread.
 Observers of different corpora share nothing but the source and the
@@ -47,11 +51,6 @@ APPEND_ATTEMPTS = 3
 NOT_RECOVERABLE = (
     "mentions and name-hashtag uses of the added accounts from before the "
     "amendment are not recoverable from the source"
-)
-
-RUN_LOG_EVENTS = (
-    "subscribed", "matched", "stored", "duplicate",
-    "gap-open", "gap-close", "amendment",
 )
 
 
@@ -120,7 +119,7 @@ class ObserverInstance:
     observer_id: str
     corpus: str
     query: StreamQuery
-    state: str  # starting | stopped
+    state: str  # always "stopped": snapshots are taken after the run
     seen: int
     matched: int
     stored: int
@@ -172,7 +171,6 @@ class ObserverHandle:
         self._clock = clock
         self._pending = sorted(amendments, key=lambda p: p.at)
 
-        self._state = "starting"
         self._seen = 0
         self._matched = 0
         self._stored = 0
@@ -189,7 +187,7 @@ class ObserverHandle:
             observer_id=self.observer_id,
             corpus=self._definition.name,
             query=self._query,
-            state=self._state,
+            state="stopped",
             seen=self._seen,
             matched=self._matched,
             stored=self._stored,
@@ -207,7 +205,6 @@ class ObserverHandle:
         except Exception as exc:  # fatal: recorded on the handle for the caller
             self.fatal_error = exc
         finally:
-            self._state = "stopped"
             if self._log_fh:
                 self._log_fh.close()
 
@@ -215,34 +212,20 @@ class ObserverHandle:
         at = None
         while True:
             try:
-                sub = self._subscribe(at)
+                self._dropped_base = self._dropped
+                sub = self._source.subscribe(self._query, at=at, subscriber=self.observer_id)
+                self._log("subscribed", at, query={
+                    "followIds": list(self._query.follow_ids),
+                    "trackTerms": list(self._query.track_terms),
+                    "sample": self._query.sample,
+                })
+                at = self._consume(sub)
             except SourceUnavailable:
-                origin = at if at is not None else self._definition.window.start
-                self._open_gap(origin)
-                at = self._reconnect(origin)
-                if at is None:
-                    return
-                continue
-            self._log("subscribed", at, query={
-                "followIds": list(self._query.follow_ids),
-                "trackTerms": list(self._query.track_terms),
-                "sample": self._query.sample,
-            })
-            try:
-                resume_at = self._consume(sub)
+                at = self._reconnect(at or self._definition.window.start)
             except SourceDisconnected as exc:
-                self._open_gap(exc.at)
                 at = self._reconnect(exc.at)
-                if at is None:
-                    return
-                continue
-            if resume_at is None:
+            if at is None:
                 return
-            at = resume_at
-
-    def _subscribe(self, at):
-        self._dropped_base = self._dropped
-        return self._source.subscribe(self._query, at=at, subscriber=self.observer_id)
 
     def _consume(self, sub):
         """Process items; returns a resubscribe time after an amendment."""
@@ -255,23 +238,23 @@ class ObserverHandle:
                 # apply before delivering the first at-or-after event; the
                 # new subscription redelivers this item
                 return self._amend(self._pending.pop(0))
-            self._process(t, item.is_probe)
+            self._seen += 1
+            if matches(t, self._definition):
+                self._process(t, t.created_at, is_probe=item.is_probe)
         if self._pending:
             return self._amend(self._pending.pop(0))
         return None
 
-    def _process(self, t: TweetRecord, is_probe: bool):
-        self._seen += 1
-        if not matches(t, self._definition):
-            return
+    def _process(self, t: TweetRecord, at: datetime, *, is_probe: bool = False, **via):
+        """Count, store and log one matched tweet; ``at`` is its stored and logged time."""
         self._matched += 1
-        self._log("matched", t.created_at, tweetId=t.id)
-        outcome = self._append(t, is_probe=is_probe, stored_at=t.created_at)
+        self._log("matched", at, tweetId=t.id, **via)
+        outcome = self._append(t, is_probe=is_probe, stored_at=at)
         if outcome == "appended":
             self._stored += 1
         else:
             self._duplicates += 1
-        self._log("stored" if outcome == "appended" else "duplicate", t.created_at, tweetId=t.id)
+        self._log("stored" if outcome == "appended" else "duplicate", at, tweetId=t.id, **via)
 
     def _append(self, t, *, is_probe, stored_at):
         last = None
@@ -283,7 +266,10 @@ class ObserverHandle:
         raise last
 
     def _reconnect(self, opened_at: datetime):
-        """Backoff retries; returns the reconnect time, or None if exhausted."""
+        """Open a gap, then retry with backoff; returns the reconnect time,
+        or None when the retries run out and the gap stays open."""
+        self._gaps.append(GapRecord(opened_at=opened_at, closed_at=None))
+        self._log("gap-open", opened_at)
         delay = BACKOFF_INITIAL_S
         elapsed = 0
         for _ in range(MAX_RETRIES):
@@ -296,9 +282,10 @@ class ObserverHandle:
                 self._source.subscribe(self._query, at=attempt, subscriber=self.observer_id)
             except SourceUnavailable:
                 continue
-            self._close_gap(attempt)
+            self._gaps[-1] = GapRecord(opened_at=opened_at, closed_at=attempt)
+            self._log("gap-close", attempt, openedAt=format_timestamp(opened_at))
             return attempt
-        return None  # terminal gap stays open
+        return None
 
     def _amend(self, plan: AmendmentPlan) -> datetime:
         """Widen the query from ``plan.at``; returns the resubscribe time."""
@@ -327,36 +314,15 @@ class ObserverHandle:
     def _backfill_account(self, uid, name, at):
         """Authored backlog only; the source has no call for old mentions."""
         since = self._definition.window.start
-        recovered = [t for t in self._source.backfill_timeline(uid, since) if t.created_at < at]
-        count = 0
-        earliest = None
+        recovered = [t for t in self._source.backfill_timeline(uid, since)
+                     if t.created_at < at and matches(t, self._definition)]
         for t in recovered:
-            if not matches(t, self._definition):
-                continue
-            count += 1
-            earliest = t.created_at if earliest is None else min(earliest, t.created_at)
             self._seen += 1
-            self._matched += 1
-            self._log("matched", at, tweetId=t.id, via="backfill")
-            outcome = self._append(t, is_probe=False, stored_at=at)
-            if outcome == "appended":
-                self._stored += 1
-            else:
-                self._duplicates += 1
-            self._log("stored" if outcome == "appended" else "duplicate",
-                      at, tweetId=t.id, via="backfill")
-        return BackfillSummary(user_id=uid, screen_name=name, recovered=count, earliest=earliest)
+            self._process(t, at, via="backfill")
+        earliest = min((t.created_at for t in recovered), default=None)
+        return BackfillSummary(user_id=uid, screen_name=name, recovered=len(recovered), earliest=earliest)
 
-    # -- bookkeeping ----------------------------------------------------------
-
-    def _open_gap(self, opened_at):
-        self._gaps.append(GapRecord(opened_at=opened_at, closed_at=None))
-        self._log("gap-open", opened_at)
-
-    def _close_gap(self, closed_at):
-        g = self._gaps[-1]
-        self._gaps[-1] = GapRecord(opened_at=g.opened_at, closed_at=closed_at)
-        self._log("gap-close", closed_at, openedAt=format_timestamp(g.opened_at))
+    # -- run log --------------------------------------------------------------
 
     def _log(self, event, at, **extra):
         if self._log_fh is None:

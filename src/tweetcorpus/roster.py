@@ -1,4 +1,4 @@
-"""Candidate roster: records, account verification, merge, and file IO.
+"""Candidate roster: records, account verification, and file IO.
 
 An account is linked to a candidate only after a human review recorded at
 least one piece of evidence (party reference on the profile, a website
@@ -171,30 +171,6 @@ class Roster:
         return tuple(
             sorted(((c.twitter.user_id, c.twitter.screen_name) for c in self.candidates if c.twitter))
         )
-
-
-def merge_roster_updates(roster: Roster, additions: Roster) -> Roster:
-    """Union of two rosters; identical duplicates collapse, conflicting
-    duplicates are reported and the merge refused."""
-    known = {c.candidate_id: c for c in roster}
-    merged = dict(known)
-    conflicts = []
-    for c in additions:
-        old = merged.get(c.candidate_id)
-        if old is None:
-            merged[c.candidate_id] = c
-        elif old != c:
-            conflicts.append(c.candidate_id)
-    if conflicts:
-        raise ConfigError(f"merge refused, conflicting candidate ids: {sorted(conflicts)}")
-    return Roster(candidates=tuple(merged.values()))
-
-
-def amendment_accounts(before: Roster, after: Roster) -> tuple[tuple[int, str], ...]:
-    """Verified accounts present after a roster update but not before;
-    this is the account set an observer amendment must subscribe to."""
-    old_ids = {uid for uid, _ in before.twitter_accounts()}
-    return tuple((uid, name) for uid, name in after.twitter_accounts() if uid not in old_ids)
 
 
 # -- file IO -----------------------------------------------------------------

@@ -10,16 +10,19 @@ Determinism is absolute: the same config yields byte-identical worlds,
 and faults are part of the script, never of the environment.  Drops use
 a systematic accumulator (the i-th deliverable event is dropped exactly
 when floor(i*rate) exceeds floor((i-1)*rate)), so a rate of 0.1 over 100
-events drops exactly 10 of them, on every run.  Faults shape delivery
-only; the ground truth never sees them.
+events drops exactly 10 of them, on every run.  A reconnect redelivers
+exactly the last ``redeliver_on_reconnect`` items the subscriber was
+given.  Faults shape delivery only; the ground truth never sees them.
 """
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import random
 import threading
+from collections import defaultdict, deque
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -70,6 +73,8 @@ class FaultSchedule:
             v = getattr(self, name)
             if not 0 <= v <= 1:
                 raise ConfigError(f"{name} must be in [0, 1], got {v}")
+        if self.redeliver_on_reconnect < 0:
+            raise ConfigError(f"redeliver_on_reconnect must be >= 0, got {self.redeliver_on_reconnect}")
 
 
 @dataclass(frozen=True)
@@ -464,21 +469,20 @@ class Subscription:
 
     def __iter__(self):
         source = self._source
-        faults = source.scenario.config.faults
         windows = [
-            w for w in faults.disconnect_windows
+            w for w in source.scenario.config.faults.disconnect_windows
             if source._window_start(w) > self.at
         ]
         windows.sort(key=lambda w: w.start_s)
         key = (self.subscriber, self.query.follow_ids, self.query.track_terms, self.query.sample)
 
-        redeliver = []
-        if faults.redeliver_on_reconnect and self.at > source.scenario.start:
-            redeliver = source._delivered_memory.get(key, [])[-faults.redeliver_on_reconnect:]
-        for item in redeliver:
-            yield item
+        with source._lock:
+            delivered = source._delivered[key]
+            redeliver = list(delivered) if self.at > source.scenario.start else []
+            events = source._events[bisect.bisect_left(source._events, self.at, key=_created_at):]
+        yield from redeliver
 
-        for t, is_probe in source._merged_from(self.at):
+        for t, is_probe in events:
             while windows and source._window_start(windows[0]) <= t.created_at:
                 w = windows.pop(0)
                 if t.created_at < source._window_end(w):
@@ -490,25 +494,37 @@ class Subscription:
                 yield StreamItem(kind="limit", dropped_total=self._drop.dropped + self._probe_drop.dropped)
                 continue
             item = StreamItem(kind="tweet", tweet=t, is_probe=is_probe)
-            source._remember(key, item)
+            with source._lock:
+                delivered.append(item)
             yield item
+
+
+def _created_at(event) -> datetime:
+    return event[0].created_at
+
+
+def _event_order(event) -> tuple[datetime, int]:
+    return event[0].created_at, event[0].id
 
 
 class SimStreamSource:
     """Stream interface over a scenario: subscribe, backfill, post probes.
 
-    The accelerated clock is pure data; nothing here sleeps.  Concurrent
-    subscriptions each keep independent cursors and fault accumulators.
+    Timeline tweets and posted probes share one list of ``(tweet,
+    is_probe)`` pairs in ``(created_at, id)`` order, sorted once here;
+    probes are inserted in place.  A subscription reads it from the first
+    event at or after its start, as it stands when reading begins, with
+    its own fault accumulators.  The accelerated clock is pure data.
     """
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
         self._lock = threading.Lock()
-        self._overlay: list[TweetRecord] = []  # posted probes
-        self._probe_ids: set[int] = set()
+        self._events = sorted(((t, False) for t in scenario.timeline), key=_event_order)
         self._next_id = (max((t.id for t in scenario.timeline), default=1_000_000)) + 1
         self._author_of = {t.id: t.user_id for t in scenario.timeline}
-        self._delivered_memory: dict[tuple, list[StreamItem]] = {}
+        n = scenario.config.faults.redeliver_on_reconnect
+        self._delivered: defaultdict[tuple, deque] = defaultdict(lambda: deque(maxlen=n))
 
     # -- probes -----------------------------------------------------------
 
@@ -520,8 +536,7 @@ class SimStreamSource:
         with self._lock:
             assigned = TweetRecord(**{**tweet.__dict__, "id": self._next_id})
             self._next_id += 1
-            self._overlay.append(assigned)
-            self._probe_ids.add(assigned.id)
+            bisect.insort(self._events, (assigned, True), key=_event_order)
             self._author_of[assigned.id] = assigned.user_id
             return assigned
 
@@ -533,29 +548,14 @@ class SimStreamSource:
     def _window_end(self, w: DisconnectWindow) -> datetime:
         return self.scenario.start + timedelta(seconds=w.end_s)
 
-    def _merged_from(self, at: datetime):
-        with self._lock:
-            overlay = list(self._overlay)
-            probe_ids = set(self._probe_ids)
-        events = list(self.scenario.timeline) + overlay
-        events.sort(key=lambda t: (t.created_at, t.id))
-        for t in events:
-            if t.created_at >= at:
-                yield t, t.id in probe_ids
-
-    def _remember(self, key, item: StreamItem):
-        with self._lock:
-            buf = self._delivered_memory.setdefault(key, [])
-            buf.append(item)
-            del buf[:-100]
-
     def subscribe(self, query: StreamQuery, at: datetime | None = None, subscriber=None) -> Subscription:
         """Open a stream from simulated time ``at`` (default scenario start).
 
         Subscribing inside a disconnect window fails; after the scenario
         end it succeeds and delivers nothing.  A reconnect redelivers the
-        last items delivered to the same ``subscriber`` on the same query;
-        subscribers that give no id share one buffer per query.
+        last ``redeliver_on_reconnect`` items delivered to the same
+        ``subscriber`` on the same query; subscribers that give no id
+        share one buffer per query.
         """
         at = at or self.scenario.start
         for w in self.scenario.config.faults.disconnect_windows:
@@ -577,8 +577,7 @@ class SimStreamSource:
     def fetch_tweets(self, ids) -> list[TweetRecord]:
         wanted = set(ids)
         with self._lock:
-            overlay = list(self._overlay)
-        by_id = {t.id: t for t in list(self.scenario.timeline) + overlay if t.id in wanted}
+            by_id = {t.id: t for t, _ in self._events if t.id in wanted}
         return [by_id[i] for i in ids if i in by_id]
 
 

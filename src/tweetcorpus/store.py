@@ -3,8 +3,15 @@
 Layout: one newline-delimited JSON file per corpus under the store root.
 Each line is the canonical tweet object plus an envelope (``corpus``,
 ``storedAt``, ``isProbe``).  Appends are idempotent on (corpus, tweet id)
-and safe under concurrent writers; scans yield a stable total order by
-(created_at, id).
+within one process: the index (tweet id -> probe flag) is built at open
+and kept in memory, so one process writes a store at a time -- two
+concurrent ``collect run``s on one store can duplicate rows.  Scans yield
+a stable total order by (created_at, id).
+
+A crash can cut the last append short.  On open, a final line without a
+newline that does not parse is cut off into ``<corpus>.ndjson.torn`` and
+reported in ``CorpusStore.torn``; one that parses gets its newline before
+the next append.  Any other unreadable line fails with its ``path:line``.
 
 Dehydration writes the shareable ID-list form: a ``# corpus:<name>
 generated:<UTC>`` header followed by one ``tweet_id<TAB>candidate_id?``
@@ -16,6 +23,7 @@ ids instead of fabricating records.
 from __future__ import annotations
 
 import json
+import os
 import re
 import threading
 from dataclasses import dataclass
@@ -48,26 +56,76 @@ class RehydrationResult:
     missing_ids: tuple[int, ...]
 
 
+class _TornTail(StoreError):
+    """An unterminated final line that does not parse: an append cut short."""
+
+    def __init__(self, message: str, offset: int):
+        super().__init__(message)
+        self.offset = offset
+
+
+def _decode(path: Path, row):
+    """Yield ``row(obj)`` for each line of ``path``, one at a time; a bad
+    line fails with its ``path:line``, as a ``_TornTail`` if it is torn."""
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line == b"\n":
+                continue
+            parsed = False
+            try:
+                obj = json.loads(line.decode("utf-8"))
+                parsed = True
+                value = row(obj)
+            except Exception as exc:
+                message = f"{path}:{lineno}: unreadable store line: {exc}"
+                if parsed or line.endswith(b"\n"):
+                    raise StoreError(message) from exc
+                raise _TornTail(message, fh.tell() - len(line)) from exc
+            yield value
+
+
+def _index_entry(obj) -> tuple[int, bool]:
+    return int(obj["_id"]), bool(obj.get("isProbe", False))
+
+
+def _stored_tweet(obj) -> StoredTweet:
+    return StoredTweet(
+        tweet=tweet_from_dict(obj),
+        corpus=obj["corpus"],
+        stored_at=parse_timestamp(obj["storedAt"]),
+        is_probe=bool(obj.get("isProbe", False)),
+    )
+
+
+def _cut_tail(path: Path, offset: int) -> int:
+    """Move ``path``'s bytes from ``offset`` on to its ``.torn`` sidecar as one line."""
+    with open(path, "rb+") as fh:
+        fh.seek(offset)
+        tail = fh.read()
+        with open(path.with_name(path.name + ".torn"), "ab") as sidecar:
+            sidecar.write(tail + b"\n")
+        fh.truncate(offset)
+    return len(tail)
+
+
 class CorpusStore:
-    """Directory-backed store; one writer handle per corpus, shared lock."""
+    """Directory-backed store; one writer handle per corpus, shared lock.
+    ``torn`` maps a corpus to the bytes of the torn line cut off at open."""
 
     def __init__(self, root):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
-        self._index: dict[str, set[int]] = {}
+        self._index: dict[str, dict[int, bool]] = {}
         self._handles: dict[str, object] = {}
+        self.torn: dict[str, int] = {}
         for path in sorted(self.root.glob("*.ndjson")):
-            corpus = path.stem
-            ids = set()
-            for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-                if not line:
-                    continue
-                try:
-                    ids.add(int(json.loads(line)["_id"]))
-                except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                    raise StoreError(f"{path}:{lineno}: unreadable store line: {exc}") from exc
-            self._index[corpus] = ids
+            index = self._index[path.stem] = {}
+            try:
+                for tweet_id, is_probe in _decode(path, _index_entry):
+                    index[tweet_id] = is_probe
+            except _TornTail as exc:
+                self.torn[path.stem] = _cut_tail(path, exc.offset)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -91,7 +149,13 @@ class CorpusStore:
     def _handle(self, corpus: str):
         fh = self._handles.get(corpus)
         if fh is None:
-            fh = open(self._path(corpus), "a", encoding="utf-8")
+            path = self._path(corpus)
+            fh = open(path, "a", encoding="utf-8")
+            if fh.tell():
+                with open(path, "rb") as last:
+                    last.seek(-1, os.SEEK_END)
+                    if last.read() != b"\n":
+                        fh.write("\n")  # terminate a final line a crash left unterminated
             self._handles[corpus] = fh
         return fh
 
@@ -100,7 +164,7 @@ class CorpusStore:
         if not _CORPUS_NAME_RE.match(corpus):
             raise StoreError(f"corpus name not usable as a file name: {corpus!r}")
         with self._lock:
-            self._index.setdefault(corpus, set())
+            self._index.setdefault(corpus, {})
             self._handle(corpus)
 
     def append(self, tweet: TweetRecord, corpus: str, *, is_probe: bool = False, stored_at: datetime | None = None) -> str:
@@ -110,7 +174,7 @@ class CorpusStore:
         if stored_at is None:
             stored_at = datetime.now(timezone.utc)
         with self._lock:
-            ids = self._index.setdefault(corpus, set())
+            ids = self._index.setdefault(corpus, {})
             if tweet.id in ids:
                 return "duplicate"
             obj = {"corpus": corpus, "storedAt": format_timestamp(stored_at), "isProbe": is_probe}
@@ -118,7 +182,7 @@ class CorpusStore:
             fh = self._handle(corpus)
             fh.write(json.dumps(obj, ensure_ascii=False, separators=(",", ":")) + "\n")
             fh.flush()
-            ids.add(tweet.id)
+            ids[tweet.id] = is_probe
             return "appended"
 
     # -- reads -------------------------------------------------------------
@@ -138,24 +202,7 @@ class CorpusStore:
             if fh is not None:
                 fh.flush()
             path = self._path(corpus)
-            text = path.read_text(encoding="utf-8") if path.exists() else ""
-        out = []
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                out.append(
-                    StoredTweet(
-                        tweet=tweet_from_dict(obj),
-                        corpus=obj["corpus"],
-                        stored_at=parse_timestamp(obj["storedAt"]),
-                        is_probe=bool(obj.get("isProbe", False)),
-                    )
-                )
-            except Exception as exc:
-                raise StoreError(f"{self._path(corpus)}:{lineno}: unreadable store line: {exc}") from exc
-        return out
+            return list(_decode(path, _stored_tweet)) if path.exists() else []
 
     def scan(self, corpus: str, window: TimeWindow | None = None, include_probes: bool = False) -> list[StoredTweet]:
         """Point-in-time snapshot, ordered by (created_at, id)."""
@@ -168,21 +215,11 @@ class CorpusStore:
         return rows
 
     def count(self, corpus: str, include_probes: bool = True) -> int:
-        rows = self._read_all(corpus)
-        if not include_probes:
-            rows = [r for r in rows if not r.is_probe]
-        return len(rows)
-
-    def fetch_tweets(self, ids, corpus: str | None = None) -> list[TweetRecord]:
-        """Look records up by id, across all corpora unless one is named."""
-        wanted = set(ids)
-        names = [corpus] if corpus is not None else self.corpora()
-        found: dict[int, TweetRecord] = {}
-        for name in names:
-            for row in self._read_all(name):
-                if row.tweet.id in wanted and row.tweet.id not in found:
-                    found[row.tweet.id] = row.tweet
-        return [found[i] for i in ids if i in found]
+        """Rows in ``corpus``, answered from the index without decoding."""
+        with self._lock:
+            self._require(corpus)
+            flags = self._index[corpus].values()
+            return len(flags) if include_probes else len(flags) - sum(flags)
 
 
 # -- derived corpora ---------------------------------------------------------

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tweetcorpus.authority import (
     AuthorityResult,
@@ -243,6 +245,15 @@ class TestEngagement:
         table = engagement_table(posts)
         assert {a: (b, d) for a, b, d in table} == \
             {a: (len(walls[a]), counts[a]) for a in counts}
+
+    @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 9)), max_size=60))
+    @settings(max_examples=150, deadline=None)
+    def test_table_equals_per_actor_reference(self, pairs):
+        posts = [WallPost(post_id=i, wall_owner_id=wall, author_id=author)
+                 for i, (wall, author) in enumerate(pairs)]
+        want = [(a, engagement_breadth(posts, a), engagement_depth(posts, a).total)
+                for a in sorted({p.author_id for p in posts})]
+        assert engagement_table(posts) == want
 
 
 class TestIO:

@@ -320,6 +320,32 @@ class TestExitCodes:
         assert code == 4
         assert json.loads(err.strip().splitlines()[-1])["category"] == "store"
 
+    def three_row_store(self, env, root):
+        with CorpusStore(root) as store:
+            for t in env["scenario"].timeline[:3]:
+                store.append(t, "c", stored_at=t.created_at)
+        return root / "c.ndjson"
+
+    def test_torn_store_tail_is_cut_and_logged(self, env, tmp_path, capsys):
+        path = self.three_row_store(env, tmp_path / "store")
+        path.write_bytes(path.read_bytes()[:-40])
+        code, out, err = run_cli(capsys, "store", "scan", "--store", tmp_path / "store", "--corpus", "c")
+        assert code == 0
+        assert [parse_tweet(l).id for l in out.splitlines()] == [t.id for t in env["scenario"].timeline[:2]]
+        event = json.loads(err.strip().splitlines()[0])
+        assert event["event"] == "tornTail" and event["corpus"] == "c"
+        assert event["bytesCut"] + 1 == (tmp_path / "store" / "c.ndjson.torn").stat().st_size
+
+    def test_corrupt_store_line_is_4_and_named(self, env, tmp_path, capsys):
+        path = self.three_row_store(env, tmp_path / "store")
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(lines[0] + b"{broken\n" + lines[2])
+        code, _, err = run_cli(capsys, "store", "scan", "--store", tmp_path / "store", "--corpus", "c")
+        assert code == 4
+        last = json.loads(err.strip().splitlines()[-1])
+        assert last["category"] == "store" and "c.ndjson:2" in last["message"]
+        assert not (tmp_path / "store" / "c.ndjson.torn").exists()
+
     def test_bad_threshold_is_5(self, env, capsys):
         code, _, err = run_cli(capsys, "authorities", "--graph", env["world"] / "follows.tsv",
                                "--groups", env["world"] / "groups.json", "--threshold", "3")

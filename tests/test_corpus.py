@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -287,6 +288,13 @@ class TestAccountStrategy:
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ConfigError):
             AccountQuery(accounts=((101, "a"), (101, "b")))
+
+    def test_id_and_name_sets_built_once_and_fresh_after_replace(self):
+        q = AccountQuery(accounts=((101, "Anna_M"),))
+        assert q.user_ids is q.user_ids and q.names_lower is q.names_lower
+        wider = replace(q, accounts=q.accounts + ((102, "Bert"),))
+        assert wider.user_ids == {101, 102} and wider.names_lower == {"anna_m", "bert"}
+        assert q.user_ids == {101} and q == AccountQuery(accounts=((101, "Anna_M"),))
 
 
 class TestKeywordStrategy:

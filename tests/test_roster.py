@@ -1,4 +1,4 @@
-"""Roster records, account resolution rules, merge semantics, file IO."""
+"""Roster records, account resolution rules, file IO."""
 
 import json
 import random
@@ -13,11 +13,9 @@ from tweetcorpus.roster import (
     CandidateRecord,
     Roster,
     VerifiedLink,
-    amendment_accounts,
     build_demo_roster,
     export_candidates,
     load_roster,
-    merge_roster_updates,
     resolve_account,
 )
 
@@ -122,39 +120,6 @@ def cand(cid, party="SDP", twitter_uid=None):
             decided_at=utc(2013, 8, 1),
         )
     return CandidateRecord(cid, f"Name {cid}", party, "list", None, "BE", twitter=twitter)
-
-
-class TestMerge:
-    def test_disjoint_union(self):
-        a = Roster(candidates=(cand("K-1"), cand("K-2")))
-        b = Roster(candidates=(cand("K-3"),))
-        m = merge_roster_updates(a, b)
-        assert [c.candidate_id for c in m] == ["K-1", "K-2", "K-3"]
-
-    def test_identical_remerge_is_identity(self):
-        a = Roster(candidates=(cand("K-1"), cand("K-2")))
-        assert merge_roster_updates(a, a) == a
-
-    def test_commutative_for_disjoint(self):
-        a = Roster(candidates=(cand("K-1"),))
-        b = Roster(candidates=(cand("K-2"),))
-        assert merge_roster_updates(a, b) == merge_roster_updates(b, a)
-
-    def test_conflict_refused_and_named(self):
-        a = Roster(candidates=(cand("K-1", party="SDP"),))
-        b = Roster(candidates=(cand("K-1", party="UDC"),))
-        with pytest.raises(ConfigError, match="K-1"):
-            merge_roster_updates(a, b)
-
-    def test_fifteen_late_candidates_yield_fifteen_amendment_accounts(self):
-        base = Roster(candidates=tuple(cand(f"K-{i:03d}", twitter_uid=1000 + i) for i in range(40)))
-        late = Roster(candidates=tuple(cand(f"L-{i:02d}", party="NEW", twitter_uid=5000 + i) for i in range(15)))
-        merged = merge_roster_updates(base, late)
-        added = amendment_accounts(base, merged)
-        assert len(added) == 15
-        assert {uid for uid, _ in added} == {5000 + i for i in range(15)}
-        # accounts already observed are not re-amended
-        assert amendment_accounts(merged, merged) == ()
 
 
 class TestFileRoundTrip:

@@ -115,6 +115,8 @@ class TestGeneration:
             FaultSchedule(drop_rate=-0.1)
         with pytest.raises(ConfigError, match="emergence_fraction"):
             EmergentParty(account_count=3, emergence_fraction=2.0)
+        with pytest.raises(ConfigError, match="redeliver_on_reconnect"):
+            FaultSchedule(redeliver_on_reconnect=-5)
 
 
 class TestGroundTruth:
@@ -253,6 +255,20 @@ class TestSourceDelivery:
         assert replayed == [t.id for t in first[-10:]]
         fresh = [i.tweet for i in resumed_items[10:] if i.kind == "tweet"]
         assert all(t.created_at >= s.start + timedelta(seconds=3100) for t in fresh)
+
+    def test_redelivery_follows_its_setting_past_100(self):
+        cfg = mini(faults=FaultSchedule(disconnect_windows=(DisconnectWindow(3000, 3100),), redeliver_on_reconnect=150))
+        s = build_scenario(cfg)
+        src = open_source(s)
+        q = StreamQuery(sample=True)
+        with pytest.raises(SourceDisconnected):
+            for _ in src.subscribe(q):
+                pass
+        first = [t.id for t in s.timeline if t.created_at < s.start + timedelta(seconds=3000)]
+        assert len(first) > 150
+        resumed = list(src.subscribe(q, at=s.start + timedelta(seconds=3100)))
+        assert [i.tweet.id for i in resumed[:150]] == first[-150:]
+        assert resumed[150].tweet.created_at >= s.start + timedelta(seconds=3100)
 
     def test_redelivery_is_per_subscriber(self):
         cfg = mini(faults=FaultSchedule(disconnect_windows=(DisconnectWindow(3000, 3100),), redeliver_on_reconnect=10))

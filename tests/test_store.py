@@ -156,6 +156,14 @@ class TestScan:
             s.ensure_corpus("new")
             assert s.scan("new") == []
 
+    def test_line_separator_in_text_survives_reopen(self, tmp_path):
+        # json.dumps leaves U+2028 unescaped; only "\n" may split store lines
+        t = make_tweet(1, text="erste zeile\u2028zweite zeile\x85ende")
+        with CorpusStore(tmp_path) as s:
+            s.append(t, "c", stored_at=BASE)
+        with CorpusStore(tmp_path) as s2:
+            assert s2.scan("c")[0].tweet == t
+
     def test_payload_round_trips(self, tmp_path):
         t = make_tweet(9, text="richtig #wahl2013 und @someone dazu https://t.co/zz")
         t2 = TweetRecord(**{**t.__dict__, "urls": ("https://t.co/zz",), "geo": (52.5, 13.4, "DE"), "language": "de"})
@@ -165,13 +173,51 @@ class TestScan:
             assert s2.scan("c")[0].tweet == t2
 
 
-class TestFetch:
-    def test_fetch_in_request_order_with_gaps(self, tmp_path):
+class TestCount:
+    def test_count_answers_from_the_index(self, tmp_path):
+        with CorpusStore(tmp_path) as s:
+            for i in range(6):
+                s.append(make_tweet(i), "c", is_probe=(i % 3 == 0), stored_at=BASE)
+        with CorpusStore(tmp_path) as s2:
+            assert s2.count("c") == 6
+            assert s2.count("c", include_probes=False) == 4
+            with pytest.raises(UnknownCorpusError):
+                s2.count("nope")
+
+
+class TestTornTail:
+    """A crash can cut the last append short; only the final line may be torn."""
+
+    def three_rows(self, tmp_path):
         with CorpusStore(tmp_path) as s:
             for i in (1, 2, 3):
                 s.append(make_tweet(i), "c", stored_at=BASE)
-            got = s.fetch_tweets([3, 99, 1])
-            assert [t.id for t in got] == [3, 1]
+        return tmp_path / "c.ndjson"
+
+    def test_torn_final_line_is_cut_into_sidecar(self, tmp_path):
+        path = self.three_rows(tmp_path)
+        data = path.read_bytes()
+        last_start = data.rindex(b"\n", 0, len(data) - 1) + 1
+        path.write_bytes(data[:-40])  # the append of row 3 cut short
+        with CorpusStore(tmp_path) as s:
+            assert s.torn == {"c": len(data) - 40 - last_start}
+            assert [r.tweet.id for r in s.scan("c")] == [1, 2]
+            assert s.append(make_tweet(3), "c", stored_at=BASE) == "appended"
+        assert path.read_bytes() == data
+        assert (tmp_path / "c.ndjson.torn").read_bytes() == data[last_start:-40] + b"\n"
+        with CorpusStore(tmp_path) as s2:
+            assert s2.torn == {}
+            assert s2.count("c") == 3
+
+    def test_unterminated_final_line_that_parses_is_kept_and_terminated(self, tmp_path):
+        path = self.three_rows(tmp_path)
+        path.write_bytes(path.read_bytes().rstrip(b"\n"))
+        with CorpusStore(tmp_path) as s:
+            assert s.torn == {}
+            assert s.count("c") == 3
+            s.append(make_tweet(4), "c", stored_at=BASE)
+        with CorpusStore(tmp_path) as s2:
+            assert [r.tweet.id for r in s2.scan("c")] == [1, 2, 3, 4]
 
 
 class TestPrivacyFilter:
@@ -279,7 +325,13 @@ class TestRehydrate:
         with CorpusStore(tmp_path / "s") as s:
             tweets = fill_store(s, 40)
             dehydrate(s, "c", tmp_path / "c.ids")
-            result = rehydrate(tmp_path / "c.ids", s)
+
+        class Lookup:
+            def fetch_tweets(self, ids):
+                by_id = {t.id: t for t in tweets}
+                return [by_id[i] for i in ids if i in by_id]
+
+        result = rehydrate(tmp_path / "c.ids", Lookup())
         assert result.corpus == "c"
         assert result.missing_ids == ()
         assert {t.id for t in result.tweets} == {t.id for t in tweets}
