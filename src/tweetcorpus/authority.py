@@ -20,6 +20,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import AnalysisError, ConfigError
+from .tweets import load_json_config
 
 RULES = ("gatekeepers", "journalists", "editors")
 
@@ -244,10 +245,7 @@ def load_follow_graph(edges_path, groups_path) -> FollowGraph:
             edges.add((int(parts[0]), int(parts[1])))
         except ValueError as exc:
             raise ConfigError(f"{edges_path}:{lineno}: ids must be integers: {line!r}") from exc
-    try:
-        groups = json.loads(Path(groups_path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{groups_path}: not valid JSON: {exc}") from exc
+    groups = load_json_config(groups_path)
     if "gatekeepers" not in groups:
         raise ConfigError(f"{groups_path}: group file needs a 'gatekeepers' list")
     return FollowGraph(

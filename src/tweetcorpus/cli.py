@@ -28,7 +28,6 @@ from .collect import (
     append_amendment,
     collect_run,
     load_json_config,
-    load_manifest,
     manifest_json,
     manifest_table,
     probe_plans_from_obj,
@@ -166,22 +165,19 @@ def cmd_collect_amend(args):
 
 
 def cmd_collect_status(args):
-    print(manifest_table(load_manifest(args.manifest)))
+    print(manifest_table(load_json_config(args.manifest)))
 
 
 # -- probes --------------------------------------------------------------------
 
 def cmd_probe_run(args):
-    scenario = load_world(args.world)
-    defs = load_corpus_config(args.corpora)
-    plans = probe_plans_from_obj(load_json_config(args.probes))
+    scenario, defs, plans, _, config_paths = _run_inputs(args)
     probed = {p.corpus for p in plans}
     defs = [d for d in defs if d.name in probed]
     _log("probeRunStarted", corpora=sorted(probed), store=str(args.store))
     with _open_store(args.store) as store:
         manifest = collect_run(
-            scenario, defs, store, probe_plans=plans,
-            config_paths=[args.world / "scenario.json", args.corpora, args.probes],
+            scenario, defs, store, probe_plans=plans, config_paths=config_paths,
             logs_dir=args.logs, clock_factory=_clock_factory(args, scenario),
         )
     _emit({"reports": [report_json(r) for r in manifest.completeness]})

@@ -20,7 +20,7 @@ from .errors import ConfigError, ParseError
 from .observer import AmendmentEvent, AmendmentPlan, ObserverInstance, run_observer
 from .probes import DEFAULT_INTERVAL, CompletenessReport, compute_completeness, inject_probes, report_json, write_probe_log
 from .sim import Scenario, open_source
-from .tweets import format_timestamp, parse_timestamp
+from .tweets import format_timestamp, load_json_config, parse_timestamp
 
 
 @dataclass(frozen=True)
@@ -133,13 +133,6 @@ def write_manifest(m: RunManifest, path) -> Path:
     return path
 
 
-def load_manifest(path) -> dict:
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read manifest {path}: {exc}") from exc
-
-
 def manifest_table(doc: dict) -> str:
     """Human-readable one-screen summary of a loaded manifest."""
     lines = [f"run {doc['runId']} status {doc['status']} seed {doc['seed']}"]
@@ -203,15 +196,6 @@ def _amendment_entry(sa: ScheduledAmendment) -> dict:
         "corpus": sa.corpus,
         "keywords": list(sa.plan.keywords),
     }
-
-
-def load_json_config(path) -> dict:
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
 
 
 def append_amendment(path, sa: ScheduledAmendment) -> int:

@@ -11,7 +11,6 @@ matcher decides what is stored.
 from __future__ import annotations
 
 import hashlib
-import json
 import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -19,7 +18,7 @@ from functools import cached_property
 from typing import Union
 
 from .errors import ConfigError
-from .tweets import TweetRecord, parse_timestamp
+from .tweets import TweetRecord, load_json_config, parse_timestamp
 
 FORMAT_FLAGS = frozenset({"retweets_only", "must_have_url", "must_have_image"})
 
@@ -337,9 +336,4 @@ def corpora_from_obj(doc) -> list[CorpusDefinition]:
 
 def load_corpus_config(path) -> list[CorpusDefinition]:
     """Load and check a corpus configuration file (JSON)."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
-    return corpora_from_obj(doc)
+    return corpora_from_obj(load_json_config(path))

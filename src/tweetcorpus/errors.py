@@ -15,7 +15,10 @@ class ConfigError(TweetCorpusError):
 
 
 class ParseError(ConfigError):
-    """Input text is not well-formed (bad JSON, bad line syntax)."""
+    """Input text is not well-formed (bad JSON, bad line syntax); ``torn_at``
+    is the offset of a bad final line that is unterminated and not JSON."""
+
+    torn_at: int | None = None
 
 
 class SchemaError(ParseError):

@@ -26,7 +26,6 @@ interleaving.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta
@@ -41,7 +40,7 @@ from .corpus import (
     matches,
 )
 from .errors import ConfigError, SourceDisconnected, SourceUnavailable, StoreError
-from .tweets import TweetRecord, format_timestamp
+from .tweets import TweetRecord, format_timestamp, json_line
 
 BACKOFF_INITIAL_S = 1
 BACKOFF_CAP_S = 60
@@ -209,21 +208,22 @@ class ObserverHandle:
                 self._log_fh.close()
 
     def _loop(self):
-        at = None
+        at, sub = None, None
         while True:
             try:
+                if sub is None:
+                    sub = self._source.subscribe(self._query, at=at, subscriber=self.observer_id)
                 self._dropped_base = self._dropped
-                sub = self._source.subscribe(self._query, at=at, subscriber=self.observer_id)
                 self._log("subscribed", at, query={
                     "followIds": list(self._query.follow_ids),
                     "trackTerms": list(self._query.track_terms),
                     "sample": self._query.sample,
                 })
-                at = self._consume(sub)
+                at, sub = self._consume(sub), None
             except SourceUnavailable:
-                at = self._reconnect(at or self._definition.window.start)
+                at, sub = self._reconnect(at or self._definition.window.start)
             except SourceDisconnected as exc:
-                at = self._reconnect(exc.at)
+                at, sub = self._reconnect(exc.at)
             if at is None:
                 return
 
@@ -266,8 +266,9 @@ class ObserverHandle:
         raise last
 
     def _reconnect(self, opened_at: datetime):
-        """Open a gap, then retry with backoff; returns the reconnect time,
-        or None when the retries run out and the gap stays open."""
+        """Open a gap, then retry with backoff; returns the reconnect time and
+        the subscription it opened, or (None, None) when the retries run out
+        and the gap stays open."""
         self._gaps.append(GapRecord(opened_at=opened_at, closed_at=None))
         self._log("gap-open", opened_at)
         delay = BACKOFF_INITIAL_S
@@ -279,13 +280,13 @@ class ObserverHandle:
             if self._clock is not None:
                 self._clock.sleep_until(attempt)
             try:
-                self._source.subscribe(self._query, at=attempt, subscriber=self.observer_id)
+                sub = self._source.subscribe(self._query, at=attempt, subscriber=self.observer_id)
             except SourceUnavailable:
                 continue
             self._gaps[-1] = GapRecord(opened_at=opened_at, closed_at=attempt)
             self._log("gap-close", attempt, openedAt=format_timestamp(opened_at))
-            return attempt
-        return None
+            return attempt, sub
+        return None, None
 
     def _amend(self, plan: AmendmentPlan) -> datetime:
         """Widen the query from ``plan.at``; returns the resubscribe time."""
@@ -334,7 +335,7 @@ class ObserverHandle:
             "corpus": self._definition.name,
         }
         obj.update(extra)
-        self._log_fh.write(json.dumps(obj, ensure_ascii=False, separators=(",", ":")) + "\n")
+        self._log_fh.write(json_line(obj) + "\n")
 
 
 def run_observer(definition: CorpusDefinition, source, sink, *, amendments=(),

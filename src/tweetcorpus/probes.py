@@ -13,7 +13,6 @@ of unrelated traffic never enter the computation.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -27,7 +26,7 @@ from .corpus import (
     matches,
 )
 from .errors import AnalysisError, ConfigError
-from .tweets import TweetRecord, extract_entities, format_timestamp, parse_timestamp
+from .tweets import TweetRecord, extract_entities, format_timestamp, json_line, parse_timestamp, read_ndjson
 
 # the designated measurement account; for account-list corpora it must be
 # on the observed list for its probes to match
@@ -222,27 +221,25 @@ def write_probe_log(probes, path) -> Path:
     p = Path(path)
     with open(p, "w", encoding="utf-8") as fh:
         for r in probes:
-            fh.write(json.dumps({
+            fh.write(json_line({
                 "probeId": r.probe_id,
                 "corpus": r.corpus,
                 "injectedAt": format_timestamp(r.injected_at),
                 "carrierId": r.carrier_id,
                 "marker": r.marker,
-            }, ensure_ascii=False, separators=(",", ":")) + "\n")
+            }) + "\n")
     return p
 
 
+def _probe_record(obj) -> ProbeRecord:
+    return ProbeRecord(
+        probe_id=int(obj["probeId"]),
+        corpus=obj["corpus"],
+        injected_at=parse_timestamp(obj["injectedAt"]),
+        carrier_id=int(obj["carrierId"]),
+        marker=obj["marker"],
+    )
+
+
 def read_probe_log(path) -> list[ProbeRecord]:
-    records = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line:
-            continue
-        obj = json.loads(line)
-        records.append(ProbeRecord(
-            probe_id=int(obj["probeId"]),
-            corpus=obj["corpus"],
-            injected_at=parse_timestamp(obj["injectedAt"]),
-            carrier_id=int(obj["carrierId"]),
-            marker=obj["marker"],
-        ))
-    return records
+    return list(read_ndjson(path, _probe_record))

@@ -24,7 +24,7 @@ from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 from .errors import ConfigError
-from .tweets import format_timestamp, parse_timestamp
+from .tweets import format_timestamp, load_json_config, parse_timestamp
 
 EVIDENCE_KINDS = frozenset({"party_reference", "website_link", "image_or_constituency_match"})
 CANDIDATURES = ("direct", "list", "both")
@@ -205,9 +205,7 @@ def load_roster(path) -> Roster:
     must carry evidence and the professional flag or the load fails."""
     path = Path(path)
     sidecar_file = _sidecar_path(path)
-    sidecar = {}
-    if sidecar_file.exists():
-        sidecar = json.loads(sidecar_file.read_text(encoding="utf-8"))
+    sidecar = load_json_config(sidecar_file) if sidecar_file.exists() else {}
     candidates = []
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)

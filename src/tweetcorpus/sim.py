@@ -35,9 +35,13 @@ from .tweets import (
     TweetRecord,
     extract_entities,
     format_timestamp,
+    json_line,
+    load_json_config,
     parse_timestamp,
-    parse_tweet,
+    parse_tweet,  # noqa: F401 -- unused here, but perfbench/tracing.py wraps sim.parse_tweet
+    read_ndjson,
     serialize_tweet,
+    tweet_from_dict,
 )
 
 WORDS = (
@@ -587,73 +591,66 @@ def open_source(scenario: Scenario) -> SimStreamSource:
 
 # -- world files -----------------------------------------------------------------
 
+# JSON key -> field of ScenarioConfig, FaultSchedule and EmergentParty, for
+# the fields stored as plain numbers
+_CONFIG_KEYS = {
+    "nCandidates": "n_candidates", "nParties": "n_parties", "nJournalists": "n_journalists",
+    "nEditors": "n_editors", "nPublic": "n_public", "nTweets": "n_tweets", "durationS": "duration_s",
+    "replyProbability": "reply_probability",
+    "replyWithoutHashtagProbability": "reply_without_hashtag_probability",
+    "retweetProbability": "retweet_probability", "mentionProbability": "mention_probability",
+    "nameHashtagProbability": "name_hashtag_probability", "geoEnabledFraction": "geo_enabled_fraction",
+}
+_FAULT_KEYS = {"dropRate": "drop_rate", "probeDropRate": "probe_drop_rate",
+               "redeliverOnReconnect": "redeliver_on_reconnect"}
+_EMERGENT_KEYS = {"accountCount": "account_count", "emergenceFraction": "emergence_fraction"}
+
+
+def _numbers_to_obj(value, keys) -> dict:
+    return {key: getattr(value, name) for key, name in keys.items()}
+
+
+def _numbers_from_obj(obj, keys, default) -> dict:
+    """The fields ``obj`` sets, each converted to the type of its value in ``default``."""
+    return {keys[key]: type(getattr(default, keys[key]))(value) for key, value in obj.items() if key in keys}
+
+
 def config_to_obj(config: ScenarioConfig) -> dict:
     return {
         "seed": config.seed,
-        "nCandidates": config.n_candidates,
-        "nParties": config.n_parties,
-        "nJournalists": config.n_journalists,
-        "nEditors": config.n_editors,
-        "nPublic": config.n_public,
-        "nTweets": config.n_tweets,
+        **_numbers_to_obj(config, _CONFIG_KEYS),
         "start": format_timestamp(config.start),
-        "durationS": config.duration_s,
         "hashtagPropensities": [[t, p] for t, p in config.hashtag_propensities],
-        "replyProbability": config.reply_probability,
-        "replyWithoutHashtagProbability": config.reply_without_hashtag_probability,
-        "retweetProbability": config.retweet_probability,
-        "mentionProbability": config.mention_probability,
-        "nameHashtagProbability": config.name_hashtag_probability,
-        "geoEnabledFraction": config.geo_enabled_fraction,
         "languageMix": [[l, w] for l, w in config.language_mix],
         "faults": {
-            "dropRate": config.faults.drop_rate,
-            "probeDropRate": config.faults.probe_drop_rate,
+            **_numbers_to_obj(config.faults, _FAULT_KEYS),
             "disconnectWindows": [[w.start_s, w.end_s] for w in config.faults.disconnect_windows],
-            "redeliverOnReconnect": config.faults.redeliver_on_reconnect,
         },
-        "emergent": {
-            "accountCount": config.emergent.account_count,
-            "emergenceFraction": config.emergent.emergence_fraction,
-        },
+        "emergent": _numbers_to_obj(config.emergent, _EMERGENT_KEYS),
     }
 
 
 def config_from_obj(obj: dict) -> ScenarioConfig:
+    """Inverse of ``config_to_obj``; an absent key keeps its ScenarioConfig default."""
+    if not isinstance(obj, dict):
+        raise ConfigError("scenario config must be a JSON object")
     try:
-        faults = obj.get("faults", {})
-        emergent = obj.get("emergent", {})
-        return ScenarioConfig(
-            seed=int(obj["seed"]),
-            n_candidates=int(obj.get("nCandidates", 40)),
-            n_parties=int(obj.get("nParties", 6)),
-            n_journalists=int(obj.get("nJournalists", 8)),
-            n_editors=int(obj.get("nEditors", 3)),
-            n_public=int(obj.get("nPublic", 200)),
-            n_tweets=int(obj.get("nTweets", 5000)),
-            start=parse_timestamp(obj["start"]) if "start" in obj else ScenarioConfig(seed=0).start,
-            duration_s=int(obj.get("durationS", 86_400)),
-            hashtag_propensities=tuple((t, float(p)) for t, p in obj.get(
-                "hashtagPropensities", [[t, p] for t, p in ScenarioConfig(seed=0).hashtag_propensities])),
-            reply_probability=float(obj.get("replyProbability", 0.35)),
-            reply_without_hashtag_probability=float(obj.get("replyWithoutHashtagProbability", 0.3)),
-            retweet_probability=float(obj.get("retweetProbability", 0.15)),
-            mention_probability=float(obj.get("mentionProbability", 0.3)),
-            name_hashtag_probability=float(obj.get("nameHashtagProbability", 0.05)),
-            geo_enabled_fraction=float(obj.get("geoEnabledFraction", 0.3)),
-            language_mix=tuple((l, float(w)) for l, w in obj.get("languageMix", [["de", 0.75], ["en", 0.20], ["", 0.05]])),
-            faults=FaultSchedule(
-                drop_rate=float(faults.get("dropRate", 0.0)),
-                probe_drop_rate=float(faults.get("probeDropRate", 0.0)),
-                disconnect_windows=tuple(DisconnectWindow(int(a), int(b)) for a, b in faults.get("disconnectWindows", ())),
-                redeliver_on_reconnect=int(faults.get("redeliverOnReconnect", 0)),
-            ),
-            emergent=EmergentParty(
-                account_count=int(emergent.get("accountCount", 15)),
-                emergence_fraction=float(emergent.get("emergenceFraction", 0.6)),
-            ),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        d = ScenarioConfig(seed=int(obj["seed"]))
+        faults, emergent = obj.get("faults", {}), obj.get("emergent", {})
+        fields = _numbers_from_obj(obj, _CONFIG_KEYS, d)
+        fault_fields = _numbers_from_obj(faults, _FAULT_KEYS, d.faults)
+        if "start" in obj:
+            fields["start"] = parse_timestamp(obj["start"])
+        if "hashtagPropensities" in obj:
+            fields["hashtag_propensities"] = tuple((t, float(p)) for t, p in obj["hashtagPropensities"])
+        if "languageMix" in obj:
+            fields["language_mix"] = tuple((l, float(w)) for l, w in obj["languageMix"])
+        if "disconnectWindows" in faults:
+            fault_fields["disconnect_windows"] = tuple(
+                DisconnectWindow(int(a), int(b)) for a, b in faults["disconnectWindows"])
+        return replace(d, **fields, faults=replace(d.faults, **fault_fields),
+                       emergent=replace(d.emergent, **_numbers_from_obj(emergent, _EMERGENT_KEYS, d.emergent)))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad scenario config: {exc}") from exc
 
 
@@ -673,7 +670,7 @@ def write_world(scenario: Scenario, world_dir) -> Path:
         for a in scenario.accounts:
             obj = {"userId": a.user_id, "screenName": a.screen_name, "kind": a.kind,
                    "party": a.party, "displayName": a.display_name}
-            fh.write(json.dumps(obj, ensure_ascii=False, separators=(",", ":")) + "\n")
+            fh.write(json_line(obj) + "\n")
     write_follow_graph(scenario.graph, world / "follows.tsv", world / "groups.json")
     with open(world / "timeline.ndjson", "w", encoding="utf-8") as fh:
         for t in scenario.timeline:
@@ -681,28 +678,20 @@ def write_world(scenario: Scenario, world_dir) -> Path:
     return world
 
 
+def _account(obj) -> SimAccount:
+    return SimAccount(user_id=obj["userId"], screen_name=obj["screenName"], kind=obj["kind"],
+                      party=obj.get("party"), display_name=obj.get("displayName"))
+
+
 def load_world(world_dir) -> Scenario:
     world = Path(world_dir)
+    meta_path = world / "scenario.json"
+    meta = load_json_config(meta_path)
     try:
-        meta = json.loads((world / "scenario.json").read_text(encoding="utf-8"))
-    except FileNotFoundError as exc:
-        raise ConfigError(f"{world}: not a scenario directory (missing scenario.json)") from exc
-    config = config_from_obj(meta["config"])
-    accounts = []
-    for line in (world / "accounts.ndjson").read_text(encoding="utf-8").splitlines():
-        if not line:
-            continue
-        obj = json.loads(line)
-        accounts.append(
-            SimAccount(
-                user_id=obj["userId"], screen_name=obj["screenName"], kind=obj["kind"],
-                party=obj.get("party"), display_name=obj.get("displayName"),
-            )
-        )
+        config = config_from_obj(meta.get("config"))
+    except ConfigError as exc:
+        raise ConfigError(f"{meta_path}: {exc}") from exc
+    accounts = tuple(read_ndjson(world / "accounts.ndjson", _account))
     graph = load_follow_graph(world / "follows.tsv", world / "groups.json")
-    timeline = tuple(
-        parse_tweet(line)
-        for line in (world / "timeline.ndjson").read_text(encoding="utf-8").splitlines()
-        if line
-    )
-    return Scenario(config=config, accounts=tuple(accounts), graph=graph, timeline=timeline)
+    timeline = tuple(read_ndjson(world / "timeline.ndjson", tweet_from_dict))
+    return Scenario(config=config, accounts=accounts, graph=graph, timeline=timeline)

@@ -1,17 +1,17 @@
 """Append-only tweet persistence partitioned by corpus.
 
-Layout: one newline-delimited JSON file per corpus under the store root.
-Each line is the canonical tweet object plus an envelope (``corpus``,
-``storedAt``, ``isProbe``).  Appends are idempotent on (corpus, tweet id)
-within one process: the index (tweet id -> probe flag) is built at open
-and kept in memory, so one process writes a store at a time -- two
-concurrent ``collect run``s on one store can duplicate rows.  Scans yield
-a stable total order by (created_at, id).
+Layout: one line file (``tweets.read_ndjson``) per corpus under the store
+root.  Each line is the canonical tweet object plus an envelope
+(``corpus``, ``storedAt``, ``isProbe``).  Appends are idempotent on
+(corpus, tweet id) within one process: the index (tweet id -> probe flag)
+is built at open and kept in memory, so one process writes a store at a
+time -- two concurrent ``collect run``s on one store can duplicate rows.
+Scans yield a stable total order by (created_at, id).
 
 A crash can cut the last append short.  On open, a final line without a
 newline that does not parse is cut off into ``<corpus>.ndjson.torn`` and
 reported in ``CorpusStore.torn``; one that parses gets its newline before
-the next append.  Any other unreadable line fails with its ``path:line``.
+the next append.  Any other unreadable line is a StoreError.
 
 Dehydration writes the shareable ID-list form: a ``# corpus:<name>
 generated:<UTC>`` header followed by one ``tweet_id<TAB>candidate_id?``
@@ -22,7 +22,6 @@ ids instead of fabricating records.
 
 from __future__ import annotations
 
-import json
 import os
 import re
 import threading
@@ -32,7 +31,7 @@ from pathlib import Path
 
 from .corpus import TimeWindow, _as_utc
 from .errors import ParseError, StoreError, UnknownCorpusError
-from .tweets import TweetRecord, format_timestamp, parse_timestamp, tweet_from_dict, tweet_to_dict
+from .tweets import TweetRecord, format_timestamp, json_line, parse_timestamp, read_ndjson, tweet_from_dict, tweet_to_dict
 
 _CORPUS_NAME_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*$")
 _HEADER_RE = re.compile(r"# corpus:(?P<name>\S+) generated:(?P<ts>\S+)$")
@@ -54,34 +53,6 @@ class RehydrationResult:
     rows: tuple[tuple[int, str | None], ...]
     tweets: tuple[TweetRecord, ...]
     missing_ids: tuple[int, ...]
-
-
-class _TornTail(StoreError):
-    """An unterminated final line that does not parse: an append cut short."""
-
-    def __init__(self, message: str, offset: int):
-        super().__init__(message)
-        self.offset = offset
-
-
-def _decode(path: Path, row):
-    """Yield ``row(obj)`` for each line of ``path``, one at a time; a bad
-    line fails with its ``path:line``, as a ``_TornTail`` if it is torn."""
-    with open(path, "rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line == b"\n":
-                continue
-            parsed = False
-            try:
-                obj = json.loads(line.decode("utf-8"))
-                parsed = True
-                value = row(obj)
-            except Exception as exc:
-                message = f"{path}:{lineno}: unreadable store line: {exc}"
-                if parsed or line.endswith(b"\n"):
-                    raise StoreError(message) from exc
-                raise _TornTail(message, fh.tell() - len(line)) from exc
-            yield value
 
 
 def _index_entry(obj) -> tuple[int, bool]:
@@ -122,10 +93,12 @@ class CorpusStore:
         for path in sorted(self.root.glob("*.ndjson")):
             index = self._index[path.stem] = {}
             try:
-                for tweet_id, is_probe in _decode(path, _index_entry):
+                for tweet_id, is_probe in read_ndjson(path, _index_entry):
                     index[tweet_id] = is_probe
-            except _TornTail as exc:
-                self.torn[path.stem] = _cut_tail(path, exc.offset)
+            except ParseError as exc:
+                if exc.torn_at is None:
+                    raise StoreError(str(exc)) from exc
+                self.torn[path.stem] = _cut_tail(path, exc.torn_at)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -180,7 +153,7 @@ class CorpusStore:
             obj = {"corpus": corpus, "storedAt": format_timestamp(stored_at), "isProbe": is_probe}
             obj.update(tweet_to_dict(tweet))
             fh = self._handle(corpus)
-            fh.write(json.dumps(obj, ensure_ascii=False, separators=(",", ":")) + "\n")
+            fh.write(json_line(obj) + "\n")
             fh.flush()
             ids[tweet.id] = is_probe
             return "appended"
@@ -202,7 +175,12 @@ class CorpusStore:
             if fh is not None:
                 fh.flush()
             path = self._path(corpus)
-            return list(_decode(path, _stored_tweet)) if path.exists() else []
+            if not path.exists():
+                return []
+            try:
+                return list(read_ndjson(path, _stored_tweet))
+            except ParseError as exc:
+                raise StoreError(str(exc)) from exc
 
     def scan(self, corpus: str, window: TimeWindow | None = None, include_probes: bool = False) -> list[StoredTweet]:
         """Point-in-time snapshot, ordered by (created_at, id)."""

@@ -4,7 +4,16 @@ The wire format is one JSON object per tweet with the attribute names
 ``_id``, ``userid``, ``screenName``, ``createdAt``, ``tweettext``,
 ``hashtags``, ``mentions`` (mandatory) plus optional metadata keys
 (``urls``, ``isRetweet``, ``replyToId``, ``geo``, ``lang``, ``hasImage``).
-Files are newline-delimited JSON, UTF-8.
+
+This module owns the package's JSON file format.  Line files (the world
+timeline and accounts, the store, probe logs and run logs) are
+newline-delimited JSON, UTF-8, one object per line, written by
+``json_line``: compact, with non-ASCII text kept as is.  ``read_ndjson``
+ends a line at ``"\\n"`` only, so U+2028 or U+0085 inside a string is text,
+skips blank lines, and names ``path:line`` in the ``ParseError`` for a
+line that does not decode.  JSON documents (configs, the world's
+``scenario.json``, manifests, evidence sidecars) are read by
+``load_json_config``, which names the file in its ``ConfigError``.
 
 Entity offset convention: ``start`` indexes the marker character
 ('#' or '@'), ``end`` is exclusive, the entity text excludes the marker,
@@ -19,9 +28,10 @@ import json
 import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from pathlib import Path
 from typing import Mapping
 
-from .errors import ParseError, SchemaError
+from .errors import ConfigError, ParseError, SchemaError
 
 MANDATORY_ATTRS = ("_id", "userid", "screenName", "createdAt", "tweettext", "hashtags", "mentions")
 
@@ -203,7 +213,7 @@ def tweet_to_dict(t: TweetRecord) -> dict:
 
 def serialize_tweet(t: TweetRecord) -> str:
     """Serialize to canonical one-line JSON; parse_tweet inverts it exactly."""
-    return json.dumps(tweet_to_dict(t), ensure_ascii=False, separators=(",", ":"))
+    return json_line(tweet_to_dict(t))
 
 
 def extract_entities(
@@ -293,3 +303,46 @@ def validate(t: TweetRecord) -> list[ValidationIssue]:
         check(f"mentions[{i}]", m.start, m.end, "@", m.screen_name)
     return issues
 
+
+# -- files ---------------------------------------------------------------------
+
+def json_line(obj) -> str:
+    """``obj`` as one compact JSON line, without the newline."""
+    return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
+
+
+def read_ndjson(path, row):
+    """Yield ``row(obj)`` for each JSON line of ``path``, one at a time.
+
+    A line that does not decode, or that ``row`` rejects, raises a
+    ParseError naming ``path:line``; if it is an unterminated final line
+    that is not JSON (a write cut short), ``torn_at`` is where it starts.
+    """
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line.isspace():
+                continue
+            parsed = False
+            try:
+                obj = json.loads(line.decode("utf-8"))
+                parsed = True
+                value = row(obj)
+            except (AttributeError, KeyError, TypeError, ValueError, ConfigError) as exc:
+                err = ParseError(f"{path}:{lineno}: unreadable line: {type(exc).__name__}: {exc}")
+                if not parsed and not line.endswith(b"\n"):
+                    err.torn_at = fh.tell() - len(line)
+                raise err from exc
+            yield value
+
+
+def load_json_config(path) -> dict:
+    """Read a JSON document whose top level is an object."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    except ValueError as exc:
+        raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path} must hold a JSON object, got {type(doc).__name__}")
+    return doc

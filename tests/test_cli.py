@@ -7,7 +7,7 @@ import pytest
 
 from tweetcorpus.authority import derive_information_authorities, load_follow_graph
 from tweetcorpus.cli import main
-from tweetcorpus.probes import read_probe_log
+from tweetcorpus.probes import ProbeRecord, read_probe_log, write_probe_log
 from tweetcorpus.roster import CandidateRecord, VerifiedLink, export_candidates
 from tweetcorpus.sim import (
     EmergentParty,
@@ -345,6 +345,35 @@ class TestExitCodes:
         last = json.loads(err.strip().splitlines()[-1])
         assert last["category"] == "store" and "c.ndjson:2" in last["message"]
         assert not (tmp_path / "store" / "c.ndjson.torn").exists()
+
+    def test_broken_probe_log_line_is_2_and_named(self, env, tmp_path, capsys):
+        log = write_probe_log([ProbeRecord(probe_id=0, corpus="tag", injected_at=env["scenario"].start,
+                                           carrier_id=1, marker="probe_tag_0000")], tmp_path / "probes-tag.ndjson")
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write('{"probeId": 1, "corpus": "tag"\n')
+        code, _, err = run_cli(capsys, "probe", "report", "--store", tmp_path / "store",
+                               "--probe-log", log, "--corpora", env["corpora"])
+        assert code == 2
+        last = json.loads(err.strip().splitlines()[-1])
+        assert last["category"] == "config" and f"{log}:2:" in last["message"]
+
+    def test_broken_roster_evidence_is_2_and_named(self, env, tmp_path, capsys):
+        roster_path = tmp_path / "roster.csv"
+        write_small_roster(roster_path, env["scenario"])
+        sidecar = tmp_path / "roster.evidence.json"
+        sidecar.write_text(sidecar.read_text(encoding="utf-8")[:-10], encoding="utf-8")
+        code, _, err = run_cli(capsys, "roster", "load", "--roster", roster_path)
+        assert code == 2
+        assert str(sidecar) in json.loads(err.strip().splitlines()[-1])["message"]
+
+    @pytest.mark.parametrize("text", ["{broken", "{}"])
+    def test_broken_world_scenario_is_2_and_named(self, tmp_path, capsys, text):
+        _, world, _, _ = build_world(tmp_path, seed=4)
+        (world / "scenario.json").write_text(text, encoding="utf-8")
+        code, _, err = run_cli(capsys, "store", "rehydrate", "--world", world,
+                               "--ids", tmp_path / "x.ids", "--out", tmp_path / "x.ndjson")
+        assert code == 2
+        assert str(world / "scenario.json") in json.loads(err.strip().splitlines()[-1])["message"]
 
     def test_bad_threshold_is_5(self, env, capsys):
         code, _, err = run_cli(capsys, "authorities", "--graph", env["world"] / "follows.tsv",

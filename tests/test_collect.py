@@ -16,7 +16,7 @@ from tweetcorpus.collect import (
     collect_run,
     derive_run_id,
     file_hash,
-    load_manifest,
+    load_json_config,
     manifest_table,
     probe_plans_from_obj,
 )
@@ -94,7 +94,7 @@ class TestCollectRun:
             m = collect_run(s, [candidate_def(s), keyword_def(s)], store,
                             probe_plans=[ProbePlan("tag", count=4, interval=timedelta(seconds=600))],
                             manifest_path=manifest_path, logs_dir=logs)
-        doc = load_manifest(manifest_path)
+        doc = load_json_config(manifest_path)
         assert doc["runId"] == m.run_id
         assert doc["status"] == "ok"
         assert doc["toolVersion"] == m.tool_version
@@ -144,7 +144,7 @@ class TestCollectRun:
             collect_run(s, [keyword_def(s)], store,
                         probe_plans=[ProbePlan("tag", count=4, interval=timedelta(seconds=600))],
                         manifest_path=manifest_path)
-        text = manifest_table(load_manifest(manifest_path))
+        text = manifest_table(load_json_config(manifest_path))
         assert "tag" in text and "status ok" in text and "completeness" in text
 
 
@@ -184,7 +184,7 @@ class TestFailureManifest:
         with FailingStore(tmp_path / "store") as store:
             with pytest.raises(StoreError):
                 collect_run(s, [keyword_def(s)], store, manifest_path=manifest_path)
-        doc = load_manifest(manifest_path)
+        doc = load_json_config(manifest_path)
         assert doc["status"] == "failed"
         assert "StoreError" in doc["error"] and "disk on fire" in doc["error"]
         assert [c["corpus"] for c in doc["corpora"]] == ["tag"]
@@ -198,7 +198,7 @@ class TestFailureManifest:
                 collect_run(s, [candidate_def(s), tag], store, manifest_path=manifest_path)
             stored = {r.tweet.id for r in store.scan("tag")}
         assert stored == oracle_ids(s, tag)
-        doc = load_manifest(manifest_path)
+        doc = load_json_config(manifest_path)
         assert doc["status"] == "failed"
         assert [(c["corpus"], c["stored"]) for c in doc["corpora"]] == [("kand", 0), ("tag", len(stored))]
 

@@ -122,6 +122,21 @@ class TestFaultFreeRuns:
                 assert {r.tweet.id for r in store.scan(d.name)} == oracle_ids(s, d)
 
 
+class CountingSource:
+    """A source that records the start time of every subscribe call."""
+
+    def __init__(self, source):
+        self._source = source
+        self.subscribed_at = []
+
+    def subscribe(self, query, at=None, subscriber=None):
+        self.subscribed_at.append(at)
+        return self._source.subscribe(query, at=at, subscriber=subscriber)
+
+    def __getattr__(self, name):
+        return getattr(self._source, name)
+
+
 class TestFaults:
     def window_def(self, s):
         return everything_def(s)
@@ -145,6 +160,26 @@ class TestFaults:
             stored = {r.tweet.id for r in store.scan(d.name)}
         expected = {t.id for t in s.timeline if not gap_start <= t.created_at < gap_end}
         assert stored == expected
+
+    def test_one_subscribe_per_attempt(self, tmp_path):
+        # attempts at +1, +3 and +7 s fall inside the outage; +15 s opens the stream
+        s = world(faults=FaultSchedule(drop_rate=0.05, redeliver_on_reconnect=10,
+                                       disconnect_windows=(DisconnectWindow(3000, 3015),)))
+        d = self.window_def(s)
+        source = CountingSource(open_source(s))
+        gap_start = s.start + timedelta(seconds=3000)
+        gap_end = s.start + timedelta(seconds=3015)
+        with CorpusStore(tmp_path / "store") as store:
+            snap = finish(run_observer(d, source, store))
+        assert source.subscribed_at == [None] + [gap_start + timedelta(seconds=k) for k in (1, 3, 7, 15)]
+        assert [(g.opened_at, g.closed_at) for g in snap.gaps] == [(gap_start, gap_end)]
+        before = sum(t.created_at < gap_start for t in s.timeline)
+        after = sum(t.created_at >= gap_end for t in s.timeline)
+        dropped = math.floor(before * 0.05) + math.floor(after * 0.05)
+        assert snap.dropped_by_source == dropped
+        assert snap.stored == before + after - dropped
+        assert snap.duplicates == 10
+        assert snap.seen == snap.matched == snap.stored + snap.duplicates
 
     def test_missing_tweets_fall_inside_recorded_gap(self, tmp_path):
         s = world(faults=FaultSchedule(disconnect_windows=(DisconnectWindow(2000, 2100),)))

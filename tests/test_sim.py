@@ -1,6 +1,8 @@
 """Scenario generation determinism, source semantics, faults, ground truth."""
 
+import json
 import math
+from dataclasses import replace
 from datetime import timedelta
 
 import pytest
@@ -25,6 +27,8 @@ from tweetcorpus.sim import (
     bias_report,
     build_scenario,
     bundestag_mini,
+    config_from_obj,
+    config_to_obj,
     conversation_reference,
     ground_truth,
     load_world,
@@ -392,3 +396,47 @@ class TestWorldFiles:
     def test_missing_dir_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError):
             load_world(tmp_path / "nope")
+
+    def test_line_separators_in_text_and_names_round_trip(self, tmp_path):
+        # json_line leaves U+2028 and U+0085 unescaped; only "\n" may end a line
+        s = build_scenario(mini())
+        s = replace(
+            s,
+            accounts=(replace(s.accounts[0], display_name="Erste\u2028Zweite\x85Dritte"),) + s.accounts[1:],
+            timeline=(replace(s.timeline[0], text=s.timeline[0].text + "\u2028zeile"),) + s.timeline[1:],
+        )
+        write_world(s, tmp_path / "world")
+        assert load_world(tmp_path / "world") == s
+
+    @pytest.mark.parametrize("text", ["{broken", "{}", '{"config": {"nTweets": 10}}', '{"config": []}'])
+    def test_bad_scenario_file_is_config_error_naming_it(self, tmp_path, text):
+        world = write_world(build_scenario(mini()), tmp_path / "world")
+        (world / "scenario.json").write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError, match="scenario.json"):
+            load_world(world)
+
+    def test_bad_timeline_line_names_path_and_line(self, tmp_path):
+        world = write_world(build_scenario(mini()), tmp_path / "world")
+        lines = (world / "timeline.ndjson").read_text(encoding="utf-8").splitlines(keepends=True)
+        (world / "timeline.ndjson").write_text(lines[0] + '{"_id": 1}\n' + "".join(lines[1:]), encoding="utf-8")
+        with pytest.raises(ConfigError, match=r"timeline\.ndjson:2: .*userid"):
+            load_world(world)
+
+
+class TestConfigObj:
+    def test_absent_keys_take_the_defaults(self):
+        assert config_from_obj({"seed": 5}) == bundestag_mini(5)
+        assert config_from_obj({"seed": 5, "faults": {}, "emergent": {}}) == bundestag_mini(5)
+
+    def test_round_trip(self):
+        config = mini(seed=3, n_tweets=123, start=mini().start + timedelta(days=2), reply_probability=0.5,
+                      hashtag_propensities=(("a", 0.5),), language_mix=(("fr", 1.0),),
+                      faults=FaultSchedule(drop_rate=0.02, probe_drop_rate=0.5, redeliver_on_reconnect=20,
+                                           disconnect_windows=(DisconnectWindow(1, 5),)),
+                      emergent=EmergentParty(account_count=3, emergence_fraction=0.2))
+        assert config_from_obj(json.loads(json.dumps(config_to_obj(config)))) == config
+
+    @pytest.mark.parametrize("obj", [None, [], {}, {"seed": 1, "nTweets": "many"}, {"seed": 1, "faults": []}])
+    def test_malformed_config_is_config_error(self, obj):
+        with pytest.raises(ConfigError):
+            config_from_obj(obj)

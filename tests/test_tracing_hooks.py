@@ -4,8 +4,9 @@ Renaming one of them (``Subscription.__iter__``, ``sim._delivers``,
 ``CorpusStore._read_all``/``_lock``/``_index``, ``ObserverHandle._run``/
 ``_log``/``_log_fh``/``_backfill_account``, ...) would break
 ``perfbench/run.py --trace 1`` without failing anything else, so this runs
-``perfbench/tracing.instrument`` over a small collect in a fresh process
-and requires every span to have seen calls.
+``perfbench/tracing.instrument`` over a world write and load, a small
+collect and a probe log read in a fresh process and requires every span to
+have seen calls.
 """
 
 import os
@@ -24,23 +25,29 @@ from tracing import Tracer, instrument
 tracer = Tracer()
 instrument(tracer)
 
-from tweetcorpus import collect, sim, store
-from tweetcorpus.corpus import AccountQuery, CorpusDefinition, TimeWindow
+from tweetcorpus import collect, probes, sim, store
+from tweetcorpus.corpus import AccountQuery, CorpusDefinition, KeywordQuery, TimeWindow
 from tweetcorpus.observer import AmendmentPlan
 
-s = sim.build_scenario(sim.bundestag_mini(n_tweets=400, duration_s=6000))
-accounts = tuple((a.user_id, a.screen_name) for a in s.accounts_of_kind("candidate"))
-late = tuple((a.user_id, a.screen_name) for a in s.accounts_of_kind("emergent"))
-d = CorpusDefinition("kand", AccountQuery(accounts=accounts), TimeWindow(s.start, s.end))
-amend = collect.ScheduledAmendment("kand", AmendmentPlan(at=s.emergence_time, accounts=late))
 with tempfile.TemporaryDirectory() as tmp:
+    world = sim.write_world(sim.build_scenario(sim.bundestag_mini(n_tweets=400, duration_s=6000)),
+                            Path(tmp) / "world")
+    s = sim.load_world(world)
+    accounts = tuple((a.user_id, a.screen_name) for a in s.accounts_of_kind("candidate"))
+    late = tuple((a.user_id, a.screen_name) for a in s.accounts_of_kind("emergent"))
+    d = CorpusDefinition("kand", AccountQuery(accounts=accounts), TimeWindow(s.start, s.end))
+    tag = CorpusDefinition("tag", KeywordQuery(hashtags=("wahl2013",)), TimeWindow(s.start, s.end))
+    amend = collect.ScheduledAmendment("kand", AmendmentPlan(at=s.emergence_time, accounts=late))
     with store.CorpusStore(Path(tmp) / "store") as st:
-        collect.collect_run(s, [d], st, amendments=[amend], logs_dir=Path(tmp) / "logs")
+        collect.collect_run(s, [d, tag], st, amendments=[amend], probe_plans=[collect.ProbePlan("tag", 2)],
+                            logs_dir=Path(tmp) / "logs")
         st.scan("kand")
+    assert len(probes.read_probe_log(Path(tmp) / "logs" / "probes-tag.ndjson")) == 2
 calls = tracer.totals()["calls"]
-spans = ("sim.subscribe", "sim.stream", "sim.delivers", "corpus.matches", "store.open",
-         "store.lock_wait", "store.append", "store.read_all", "store.scan", "tweets.encode",
-         "tweets.decode", "observer.wall", "observer.log", "observer.backfill", "collect.run")
+spans = ("sim.write_world", "sim.load_world", "sim.subscribe", "sim.stream", "sim.delivers",
+         "corpus.matches", "store.open", "store.lock_wait", "store.append", "store.read_all", "store.scan",
+         "tweets.encode", "tweets.decode", "observer.wall", "observer.log", "observer.backfill",
+         "probes.inject", "probes.completeness", "collect.run")
 idle = [name for name in spans if not calls.get(name)]
 sys.exit(f"spans that saw no calls: {idle}" if idle else 0)
 """

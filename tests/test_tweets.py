@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -15,6 +16,7 @@ from tweetcorpus.tweets import (
     TweetRecord,
     extract_entities,
     parse_tweet,
+    read_ndjson,
     serialize_tweet,
     validate,
 )
@@ -227,3 +229,21 @@ class TestValidate:
         before = serialize_tweet(t)
         validate(t)
         assert serialize_tweet(t) == before
+
+
+class TestLineFiles:
+    def test_blank_lines_skipped_and_bad_line_named(self, tmp_path):
+        path = tmp_path / "rows.ndjson"
+        path.write_bytes(b'{"a":1}\n\n  \r\n{"a":"\xe2\x80\xa8"}\n{"b":2}\n{"a":3}\n')
+        rows = read_ndjson(path, lambda obj: obj["a"])
+        assert [next(rows), next(rows)] == [1, "\u2028"]
+        with pytest.raises(ParseError, match=re.escape(f"{path}:5: ") + ".*KeyError") as exc:
+            next(rows)
+        assert exc.value.torn_at is None
+
+    def test_unterminated_final_line_that_is_not_json_reports_its_offset(self, tmp_path):
+        path = tmp_path / "rows.ndjson"
+        path.write_bytes(b'{"a":1}\n{"a":')
+        with pytest.raises(ParseError, match=re.escape(f"{path}:2:")) as exc:
+            list(read_ndjson(path, dict))
+        assert exc.value.torn_at == 8
