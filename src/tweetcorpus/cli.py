@@ -165,7 +165,13 @@ def cmd_collect_amend(args):
 
 
 def cmd_collect_status(args):
-    print(manifest_table(load_json_config(args.manifest)))
+    try:
+        table = manifest_table(load_json_config(args.manifest))
+    except KeyError as exc:
+        raise ConfigError(f"{args.manifest}: manifest lacks key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{args.manifest}: malformed manifest: {exc}") from exc
+    print(table)
 
 
 # -- probes --------------------------------------------------------------------

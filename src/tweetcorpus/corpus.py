@@ -6,6 +6,12 @@ optional conjunctive metadata constraint, and a [start, end) collection
 window.  ``matches`` is the single matching authority; stream
 subscriptions compiled by ``compile_query`` may over-deliver but the
 matcher decides what is stored.
+
+Terms have one compiled form, ``TermSet``: a keyword query's terms and a
+stream query's track terms are each compiled once, and the source's
+delivery rule and the matcher both test text through it, tokenizing the
+text once per test.  ``term_in_text`` is the reference it must agree with;
+it also confirms the rare multi-word candidates.
 """
 
 from __future__ import annotations
@@ -62,7 +68,8 @@ class AccountQuery:
         if len(set(ids)) != len(ids):
             raise ConfigError("account list has duplicate user ids")
 
-    # computed once per instance; ``replace()`` makes a new instance with a fresh cache
+    # computed once per instance (here and on the other queries); ``replace()``
+    # makes a new instance with a fresh cache
     @cached_property
     def user_ids(self) -> frozenset[int]:
         return frozenset(i for i, _ in self.accounts)
@@ -84,6 +91,10 @@ class KeywordQuery:
         object.__setattr__(self, "terms", tuple(str(t) for t in self.terms))
         if not self.hashtags and not self.terms:
             raise ConfigError("keyword query needs at least one hashtag or term")
+
+    @cached_property
+    def term_set(self) -> TermSet:
+        return TermSet.compile(self.terms)
 
 
 @dataclass(frozen=True)
@@ -144,6 +155,14 @@ class StreamQuery:
     track_terms: tuple[str, ...] = ()
     sample: bool = False
 
+    @cached_property
+    def followed(self) -> frozenset[int]:
+        return frozenset(self.follow_ids)
+
+    @cached_property
+    def term_set(self) -> TermSet:
+        return TermSet.compile(self.track_terms)
+
 
 def text_tokens(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
@@ -158,6 +177,38 @@ def term_in_text(term: str, text: str) -> bool:
     hay = text_tokens(text)
     n = len(needle)
     return any(hay[i : i + n] == needle for i in range(len(hay) - n + 1))
+
+
+@dataclass(frozen=True)
+class TermSet:
+    """A term list compiled once: the one-token terms as a set, and each
+    multi-word term with its tokens.  Terms without tokens never match."""
+
+    words: frozenset[str]
+    phrases: tuple[tuple[str, frozenset[str]], ...]
+
+    @classmethod
+    def compile(cls, terms) -> TermSet:
+        words, phrases = set(), []
+        for term in terms:
+            needle = text_tokens(term)
+            if len(needle) == 1:
+                words.add(needle[0])
+            elif needle:
+                phrases.append((term, frozenset(needle)))
+        return cls(frozenset(words), tuple(phrases))
+
+    def found_in(self, text: str) -> bool:
+        """``any(term_in_text(term, text) for term in terms)``, tokenizing
+        ``text`` once; a multi-word term whose tokens all occur is confirmed
+        by ``term_in_text``."""
+        if not self.words and not self.phrases:
+            return False
+        tokens = text_tokens(text)
+        if not self.words.isdisjoint(tokens):
+            return True
+        present = set(tokens)
+        return any(needle <= present and term_in_text(term, text) for term, needle in self.phrases)
 
 
 def sample_decision(tweet_id: int, rate: float, seed: int) -> bool:
@@ -191,7 +242,7 @@ def _keyword_matches(t: TweetRecord, q: KeywordQuery) -> bool:
     tags = {h.text.lower() for h in t.hashtags}
     if any(tag in tags for tag in q.hashtags):
         return True
-    return any(term_in_text(term, t.text) for term in q.terms)
+    return q.term_set.found_in(t.text)
 
 
 def _metadata_matches(t: TweetRecord, q: MetadataQuery) -> bool:

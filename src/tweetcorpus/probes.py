@@ -206,16 +206,6 @@ def report_json(report: CompletenessReport) -> dict:
     }
 
 
-def completeness_table(reports) -> str:
-    """Plain-text summary, one line per report."""
-    header = f"{'corpus':<20} {'window':<42} {'created':>7} {'stored':>7} {'ratio':>6}"
-    lines = [header, "-" * len(header)]
-    for r in reports:
-        span = f"{format_timestamp(r.window.start)}..{format_timestamp(r.window.end)}"
-        lines.append(f"{r.corpus:<20} {span:<42} {r.created:>7} {r.stored:>7} {r.completeness:>6.3f}")
-    return "\n".join(lines)
-
-
 def write_probe_log(probes, path) -> Path:
     """Persist the probe log as newline-delimited JSON."""
     p = Path(path)

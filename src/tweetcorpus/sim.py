@@ -28,7 +28,12 @@ from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 from .authority import FollowGraph, load_follow_graph, write_follow_graph
-from .corpus import CorpusDefinition, StreamQuery, matches, term_in_text
+from .corpus import (
+    CorpusDefinition,
+    StreamQuery,
+    matches,
+    term_in_text,  # noqa: F401 -- unused here, but perfbench/tracing.py wraps sim.term_in_text
+)
 from .errors import ConfigError, SourceDisconnected, SourceUnavailable
 from .probes import PROBE_AUTHOR
 from .tweets import (
@@ -183,9 +188,6 @@ class Scenario:
 
     def accounts_of_kind(self, kind: str) -> tuple[SimAccount, ...]:
         return tuple(a for a in self.accounts if a.kind == kind)
-
-    def account_registry(self) -> dict[str, tuple[int, str]]:
-        return {a.screen_name.lower(): (a.user_id, a.display_name or a.screen_name) for a in self.accounts}
 
 
 def _weighted_choice(rng: random.Random, pairs):
@@ -450,14 +452,15 @@ def _delivers(query: StreamQuery, t: TweetRecord, author_of: dict[int, int]) -> 
     compiled query (over-delivery allowed, under-delivery never)."""
     if query.sample:
         return True
-    if t.user_id in query.follow_ids:
+    followed = query.followed
+    if t.user_id in followed:
         return True
     for m in t.mentions:
-        if m.user_id in query.follow_ids:
+        if m.user_id in followed:
             return True
-    if t.reply_to_id is not None and author_of.get(t.reply_to_id) in query.follow_ids:
+    if t.reply_to_id is not None and author_of.get(t.reply_to_id) in followed:
         return True
-    return any(term_in_text(term, t.text) for term in query.track_terms)
+    return query.term_set.found_in(t.text)
 
 
 class Subscription:

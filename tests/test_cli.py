@@ -314,6 +314,25 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "roster", "resolve", "--sets", bad)
         assert code == 2
 
+    # (key, value or None to delete it, what the error message must name)
+    @pytest.mark.parametrize("key, value, named", [
+        (k, None, repr(k)) for k in ("runId", "status", "seed", "corpora", "completeness", "amendments")
+    ] + [("corpora", 5, "malformed"), ("completeness", [{"corpus": "c", "stored": 1}], "'created'")])
+    def test_incomplete_manifest_is_2_and_named(self, tmp_path, capsys, key, value, named):
+        doc = {"runId": "x", "status": "ok", "seed": 1, "corpora": [], "completeness": [], "amendments": []}
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert run_cli(capsys, "collect", "status", "--manifest", path)[0] == 0
+        if value is None:
+            del doc[key]
+        else:
+            doc[key] = value
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run_cli(capsys, "collect", "status", "--manifest", path)
+        assert code == 2 and out == ""
+        last = json.loads(err.strip().splitlines()[-1])
+        assert last["category"] == "config" and str(path) in last["message"] and named in last["message"]
+
     def test_unknown_corpus_is_4(self, env, capsys):
         code, _, err = run_cli(capsys, "store", "scan", "--store", env["root"] / "main" / "store",
                                "--corpus", "nicht-da")

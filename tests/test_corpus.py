@@ -7,7 +7,10 @@ from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tweetcorpus import sim
 from tweetcorpus.corpus import (
     AccountQuery,
     CorpusDefinition,
@@ -15,6 +18,7 @@ from tweetcorpus.corpus import (
     MetadataQuery,
     RandomSampleQuery,
     StreamQuery,
+    TermSet,
     TimeWindow,
     compile_query,
     load_corpus_config,
@@ -434,24 +438,58 @@ class TestCompile:
         assert compile_query(r) == StreamQuery(sample=True)
 
     def test_subscription_never_underdelivers(self):
-        # A conformant source delivers a tweet when the author or a mention
-        # is followed, a tracked term occurs in the text, or the query asks
-        # for the sample stream.  Everything the matcher accepts must fall
-        # inside that envelope.
-        def delivered(t, q):
-            if q.sample or t.user_id in q.follow_ids:
-                return True
-            if any(m.user_id in q.follow_ids for m in t.mentions):
-                return True
-            return any(term_in_text(term, t.text) for term in q.track_terms)
-
+        # Everything the matcher accepts must pass the source's delivery
+        # rule (``sim._delivers``, the code the simulator ships), including
+        # the multi-word terms of "chancellor" and "angela".
         rng = random.Random(99)
         tweets = [make_tweet(rng, 5000 + i) for i in range(1500)]
-        for d in DEFINITIONS:
+        author_of = {t.id: t.user_id for t in tweets}
+        author_of.update((t.reply_to_id, rng.choice(CANDIDATES + PUBLIC)[0]) for t in tweets if t.reply_to_id)
+        angela = CorpusDefinition("angela", KeywordQuery(terms=("Angela Merkel",)), WINDOW)
+        for d in DEFINITIONS + [angela]:
             q = compile_query(d)
-            for t in tweets:
-                if matches(t, d):
-                    assert delivered(t, q), (d.name, t.text)
+            accepted = [t for t in tweets if matches(t, d)]
+            assert accepted, d.name
+            for t in accepted:
+                assert sim._delivers(q, t, author_of), (d.name, t.text)
+
+    def test_compiled_sets_built_once_and_fields_unchanged(self):
+        q = compile_query(CorpusDefinition("c", AccountQuery(accounts=((102, "Bob22"), (101, "anna_m"))), WINDOW))
+        assert q.followed is q.followed and q.followed == {101, 102}
+        assert q.term_set is q.term_set and q.term_set == TermSet(frozenset({"anna_m", "bob22"}), ())
+        assert q == StreamQuery(follow_ids=(102, 101), track_terms=("bob22", "anna_m"))
+        k = KeywordQuery(hashtags=("wahl2013",), terms=("Merkel", "angela  merkel", "!!!"))
+        assert k.term_set is k.term_set
+        assert k.term_set == TermSet(frozenset({"merkel"}), (("angela  merkel", frozenset({"angela", "merkel"})),))
+
+
+# Pieces that glue into texts and terms where tokenization is subtle:
+# hashtags, mentions, punctuation, underscores, case, non-ASCII word
+# characters, digits, and tokens that repeat.
+PIECES = ["wahl", "WAHL", "Wahl", "merkel", "angela", "btw_13", "_", "#", "@", "!!!", "-", ".", ",",
+          "über", "ÜBER", "straße", "2013", "é", "İ", "ß", "\u00a0", " ", " ", " ", "\n"]
+glued = st.lists(st.sampled_from(PIECES), max_size=10).map("".join)
+
+
+class TestTermSet:
+    @settings(max_examples=400, deadline=None)
+    @given(glued | st.text(max_size=20), st.lists(glued | st.text(max_size=6), max_size=6))
+    def test_found_in_equals_the_reference(self, text, terms):
+        want = any(term_in_text(term, text) for term in terms)
+        assert TermSet.compile(terms).found_in(text) == want
+
+    @pytest.mark.parametrize("terms, text, want", [
+        (("angela merkel",), "Merkel, Angela", False),
+        (("angela merkel",), "ANGELA-merkel!", True),
+        (("wahl wahl",), "wahl und wahl", False),
+        (("wahl wahl",), "#wahl wahl", True),
+        (("!!!",), "!!!", False),
+        (("#btw_13",), "btw_13!", True),
+        (("über",), "ÜBERall über", True),
+    ])
+    def test_examples(self, terms, text, want):
+        assert TermSet.compile(terms).found_in(text) is want
+        assert any(term_in_text(term, text) for term in terms) is want
 
 
 class TestConfigLoading:

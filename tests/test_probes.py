@@ -20,7 +20,6 @@ from tweetcorpus.observer import run_observer
 from tweetcorpus.probes import (
     DEFAULT_INTERVAL,
     PROBE_AUTHOR,
-    completeness_table,
     compute_completeness,
     inject_probes,
     read_probe_log,
@@ -224,13 +223,6 @@ class TestReportOutputs:
         assert set(obj) == {"corpus", "window", "created", "stored", "completeness", "intervals"}
         assert len(obj["intervals"]) == report.created
         assert obj["stored"] == sum(iv["stored"] for iv in obj["intervals"])
-
-    def test_text_table_lists_each_report(self, tmp_path):
-        _, report = self.make_report(tmp_path)
-        table = completeness_table([report])
-        lines = table.splitlines()
-        assert "corpus" in lines[0] and "ratio" in lines[0]
-        assert "tag" in lines[2] and "1.000" in lines[2]
 
     def test_probe_log_round_trip(self, tmp_path):
         probes, _ = self.make_report(tmp_path)

@@ -324,7 +324,8 @@ class TestBackfill:
 
 class TestProbes:
     def probe(self, s, seconds, text):
-        hashtags, mentions = extract_entities(text, accounts=s.account_registry())
+        registry = {a.screen_name.lower(): (a.user_id, a.display_name or a.screen_name) for a in s.accounts}
+        hashtags, mentions = extract_entities(text, accounts=registry)
         return TweetRecord(
             id=0, user_id=999_999, screen_name="messfeder",
             created_at=s.start + timedelta(seconds=seconds), text=text,
