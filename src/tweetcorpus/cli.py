@@ -57,7 +57,7 @@ from .sim import (
     write_world,
 )
 from .store import CorpusStore, dehydrate, privacy_filter, rehydrate
-from .tweets import parse_timestamp, serialize_tweet
+from .tweets import object_list, parse_timestamp, serialize_tweet
 
 
 def _log(event: str, **extra):
@@ -299,10 +299,8 @@ def cmd_roster_load(args):
 
 
 def _candidate_sets_from_obj(doc) -> list[AccountCandidateSet]:
-    if not isinstance(doc, dict) or "sets" not in doc:
-        raise ConfigError("resolve input must be an object with a 'sets' list")
     out = []
-    for i, entry in enumerate(doc["sets"]):
+    for i, entry in enumerate(object_list(doc, "sets", "resolve input")):
         where = f"sets[{i}]"
         try:
             options = tuple(

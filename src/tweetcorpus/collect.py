@@ -20,7 +20,7 @@ from .errors import ConfigError, ParseError
 from .observer import AmendmentEvent, AmendmentPlan, ObserverInstance, run_observer
 from .probes import DEFAULT_INTERVAL, CompletenessReport, compute_completeness, inject_probes, report_json, write_probe_log
 from .sim import Scenario, open_source
-from .tweets import format_timestamp, load_json_config, parse_timestamp
+from .tweets import format_timestamp, load_json_config, object_list, parse_timestamp
 
 
 @dataclass(frozen=True)
@@ -153,10 +153,8 @@ def manifest_table(doc: dict) -> str:
 
 
 def probe_plans_from_obj(doc) -> list[ProbePlan]:
-    if not isinstance(doc, dict) or "probes" not in doc:
-        raise ConfigError("probe config must be an object with a 'probes' list")
     plans: list[ProbePlan] = []
-    for i, entry in enumerate(doc["probes"]):
+    for i, entry in enumerate(object_list(doc, "probes", "probe config")):
         where = f"probes[{i}]"
         try:
             plans.append(ProbePlan(
@@ -170,10 +168,8 @@ def probe_plans_from_obj(doc) -> list[ProbePlan]:
 
 
 def amendments_from_obj(doc) -> list[ScheduledAmendment]:
-    if not isinstance(doc, dict) or "amendments" not in doc:
-        raise ConfigError("amendment config must be an object with an 'amendments' list")
     out: list[ScheduledAmendment] = []
-    for i, entry in enumerate(doc["amendments"]):
+    for i, entry in enumerate(object_list(doc, "amendments", "amendment config")):
         where = f"amendments[{i}]"
         try:
             plan = AmendmentPlan(

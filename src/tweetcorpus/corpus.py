@@ -24,7 +24,7 @@ from functools import cached_property
 from typing import Union
 
 from .errors import ConfigError
-from .tweets import TweetRecord, load_json_config, parse_timestamp
+from .tweets import TweetRecord, json_object, load_json_config, object_list, parse_timestamp
 
 FORMAT_FLAGS = frozenset({"retweets_only", "must_have_url", "must_have_image"})
 
@@ -307,6 +307,7 @@ def compile_query(d: CorpusDefinition) -> StreamQuery:
 # --- configuration file ---------------------------------------------------
 
 def _window_from_obj(obj, where: str) -> TimeWindow:
+    json_object(obj, where)
     try:
         start = parse_timestamp(obj["start"])
         end = parse_timestamp(obj["end"])
@@ -318,7 +319,8 @@ def _window_from_obj(obj, where: str) -> TimeWindow:
 
 
 def _metadata_from_obj(obj, where: str) -> MetadataQuery:
-    window = _window_from_obj(obj["timeWindow"], where) if obj.get("timeWindow") else None
+    json_object(obj, where)
+    window = _window_from_obj(obj["timeWindow"], where + " field 'timeWindow'") if obj.get("timeWindow") else None
     try:
         return MetadataQuery(
             country=obj.get("country"),
@@ -331,7 +333,7 @@ def _metadata_from_obj(obj, where: str) -> MetadataQuery:
 
 
 def _strategy_from_obj(obj, where: str) -> Strategy:
-    kind = obj.get("kind")
+    kind = json_object(obj, where).get("kind")
     try:
         if kind == "accounts":
             return AccountQuery(
@@ -356,12 +358,11 @@ def _strategy_from_obj(obj, where: str) -> Strategy:
 def corpora_from_obj(doc) -> list[CorpusDefinition]:
     """Build definitions from a decoded config document; all problems are
     collected and reported together with corpus name and field."""
-    if not isinstance(doc, dict) or "corpora" not in doc:
-        raise ConfigError("corpus config must be an object with a 'corpora' list")
+    entries = object_list(doc, "corpora", "corpus config")
     defs: list[CorpusDefinition] = []
     problems: list[str] = []
     seen: set[str] = set()
-    for i, entry in enumerate(doc["corpora"]):
+    for i, entry in enumerate(entries):
         name = entry.get("name") or f"<corpora[{i}]>"
         where = f"corpus {name!r}"
         if not entry.get("name"):

@@ -35,7 +35,6 @@ from .corpus import (
     AccountQuery,
     CorpusDefinition,
     KeywordQuery,
-    StreamQuery,
     compile_query,
     matches,
 )
@@ -117,7 +116,6 @@ class ObserverInstance:
 
     observer_id: str
     corpus: str
-    query: StreamQuery
     state: str  # always "stopped": snapshots are taken after the run
     seen: int
     matched: int
@@ -185,7 +183,6 @@ class ObserverHandle:
         return ObserverInstance(
             observer_id=self.observer_id,
             corpus=self._definition.name,
-            query=self._query,
             state="stopped",
             seen=self._seen,
             matched=self._matched,

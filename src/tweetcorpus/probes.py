@@ -69,7 +69,7 @@ def _marker(corpus: str, seq: int, at: datetime) -> str:
     return f"probe_{safe}_{seq:04d}_{at:%Y%m%dt%H%M%S}"
 
 
-def _carrier(definition: CorpusDefinition, marker: str, at: datetime, author) -> TweetRecord:
+def _carrier(definition: CorpusDefinition, marker: str, at: datetime) -> TweetRecord:
     """Build a tweet that the corpus matcher must accept."""
     s = definition.strategy
     words = ["kontrolle", marker, "#" + marker]
@@ -84,9 +84,9 @@ def _carrier(definition: CorpusDefinition, marker: str, at: datetime, author) ->
         else:
             words.append(s.terms[0])
     elif isinstance(s, AccountQuery):
-        if author[0] not in s.user_ids:
+        if PROBE_AUTHOR[0] not in s.user_ids:
             raise ConfigError(
-                f"{definition.name}: probe author {author[1]} is not on the account list; "
+                f"{definition.name}: probe author {PROBE_AUTHOR[1]} is not on the account list; "
                 "add the measurement account to the corpus before probing"
             )
     elif isinstance(s, MetadataQuery):
@@ -109,17 +109,16 @@ def _carrier(definition: CorpusDefinition, marker: str, at: datetime, author) ->
     text = " ".join(words)
     hashtags, mentions = extract_entities(text)
     return TweetRecord(
-        id=0, user_id=author[0], screen_name=author[1], created_at=at, text=text,
+        id=0, user_id=PROBE_AUTHOR[0], screen_name=PROBE_AUTHOR[1], created_at=at, text=text,
         hashtags=hashtags, mentions=mentions, urls=urls, is_retweet=is_retweet,
         geo=geo, language=language, has_image=has_image,
     )
 
 
 def inject_probes(definition: CorpusDefinition, source, interval: timedelta = DEFAULT_INTERVAL,
-                  count: int = 1, start: datetime | None = None,
-                  author=PROBE_AUTHOR) -> list[ProbeRecord]:
-    """Post ``count`` probes, one per ``interval``, starting one interval
-    after ``start`` (default: the corpus window start).
+                  count: int = 1) -> list[ProbeRecord]:
+    """Post ``count`` probes by ``PROBE_AUTHOR``, one per ``interval``,
+    starting one interval after the corpus window start.
 
     Every carrier is checked against the corpus matcher before posting.
     A refused post aborts the whole injection; no partial log is returned.
@@ -128,12 +127,11 @@ def inject_probes(definition: CorpusDefinition, source, interval: timedelta = DE
         raise ConfigError(f"probe count must be >= 0, got {count}")
     if interval <= timedelta(0):
         raise ConfigError(f"probe interval must be positive, got {interval}")
-    t0 = start if start is not None else definition.window.start
     carriers = []
     for i in range(count):
-        at = t0 + interval * (i + 1)
+        at = definition.window.start + interval * (i + 1)
         marker = _marker(definition.name, i, at)
-        carrier = _carrier(definition, marker, at, author)
+        carrier = _carrier(definition, marker, at)
         if not matches(carrier, definition):
             raise AnalysisError(
                 f"{definition.name}: constructed probe does not match its own corpus "

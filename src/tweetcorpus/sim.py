@@ -21,7 +21,6 @@ import bisect
 import json
 import math
 import random
-import threading
 from collections import defaultdict, deque
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta, timezone
@@ -476,24 +475,19 @@ class Subscription:
 
     def __iter__(self):
         source = self._source
-        windows = [
-            w for w in source.scenario.config.faults.disconnect_windows
-            if source._window_start(w) > self.at
-        ]
-        windows.sort(key=lambda w: w.start_s)
+        outages = [(start, end) for start, end in source._outages if start > self.at]
         key = (self.subscriber, self.query.follow_ids, self.query.track_terms, self.query.sample)
 
-        with source._lock:
-            delivered = source._delivered[key]
-            redeliver = list(delivered) if self.at > source.scenario.start else []
-            events = source._events[bisect.bisect_left(source._events, self.at, key=_created_at):]
+        delivered = source._delivered[key]
+        redeliver = list(delivered) if self.at > source.scenario.start else []
+        events = source._events[bisect.bisect_left(source._events, self.at, key=_created_at):]
         yield from redeliver
 
         for t, is_probe in events:
-            while windows and source._window_start(windows[0]) <= t.created_at:
-                w = windows.pop(0)
-                if t.created_at < source._window_end(w):
-                    raise SourceDisconnected(at=source._window_start(w))
+            while outages and outages[0][0] <= t.created_at:
+                start, end = outages.pop(0)
+                if t.created_at < end:
+                    raise SourceDisconnected(at=start)
             if not _delivers(self.query, t, source._author_of):
                 continue
             acc = self._probe_drop if is_probe else self._drop
@@ -501,8 +495,7 @@ class Subscription:
                 yield StreamItem(kind="limit", dropped_total=self._drop.dropped + self._probe_drop.dropped)
                 continue
             item = StreamItem(kind="tweet", tweet=t, is_probe=is_probe)
-            with source._lock:
-                delivered.append(item)
+            delivered.append(item)
             yield item
 
 
@@ -521,12 +514,17 @@ class SimStreamSource:
     is_probe)`` pairs in ``(created_at, id)`` order, sorted once here;
     probes are inserted in place.  A subscription reads it from the first
     event at or after its start, as it stands when reading begins, with
-    its own fault accumulators.  The accelerated clock is pure data.
+    its own fault accumulators.  Disconnect windows become ``(start,
+    end)`` times, sorted once here too.  The accelerated clock is pure
+    data, and the source serves one caller thread, so it has no lock.
     """
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
-        self._lock = threading.Lock()
+        self._outages = sorted(
+            (scenario.start + timedelta(seconds=w.start_s), scenario.start + timedelta(seconds=w.end_s))
+            for w in scenario.config.faults.disconnect_windows
+        )
         self._events = sorted(((t, False) for t in scenario.timeline), key=_event_order)
         self._next_id = (max((t.id for t in scenario.timeline), default=1_000_000)) + 1
         self._author_of = {t.id: t.user_id for t in scenario.timeline}
@@ -540,20 +538,13 @@ class SimStreamSource:
         the id.  Probes ride the same delivery path as everything else."""
         if not self.scenario.start <= tweet.created_at < self.scenario.end:
             raise SourceUnavailable(f"probe timestamp {tweet.created_at} outside the scenario")
-        with self._lock:
-            assigned = TweetRecord(**{**tweet.__dict__, "id": self._next_id})
-            self._next_id += 1
-            bisect.insort(self._events, (assigned, True), key=_event_order)
-            self._author_of[assigned.id] = assigned.user_id
-            return assigned
+        assigned = TweetRecord(**{**tweet.__dict__, "id": self._next_id})
+        self._next_id += 1
+        bisect.insort(self._events, (assigned, True), key=_event_order)
+        self._author_of[assigned.id] = assigned.user_id
+        return assigned
 
     # -- subscription -----------------------------------------------------
-
-    def _window_start(self, w: DisconnectWindow) -> datetime:
-        return self.scenario.start + timedelta(seconds=w.start_s)
-
-    def _window_end(self, w: DisconnectWindow) -> datetime:
-        return self.scenario.start + timedelta(seconds=w.end_s)
 
     def subscribe(self, query: StreamQuery, at: datetime | None = None, subscriber=None) -> Subscription:
         """Open a stream from simulated time ``at`` (default scenario start).
@@ -565,26 +556,21 @@ class SimStreamSource:
         share one buffer per query.
         """
         at = at or self.scenario.start
-        for w in self.scenario.config.faults.disconnect_windows:
-            if self._window_start(w) <= at < self._window_end(w):
-                raise SourceUnavailable(f"source unreachable at {at}")
+        if any(start <= at < end for start, end in self._outages):
+            raise SourceUnavailable(f"source unreachable at {at}")
         return Subscription(self, query, at, subscriber)
 
     # -- lookups ------------------------------------------------------------
 
-    def backfill_timeline(self, user_id: int, since: datetime, until: datetime | None = None) -> list[TweetRecord]:
-        """Authored tweets only — a mention of the account is not the
-        account's timeline and can never be recovered this way."""
-        until = until or self.scenario.end
-        return [
-            t for t in self.scenario.timeline
-            if t.user_id == user_id and since <= t.created_at < until
-        ]
+    def backfill_timeline(self, user_id: int, since: datetime) -> list[TweetRecord]:
+        """Authored tweets from ``since`` on.  Authored only — a mention of
+        the account is not the account's timeline and can never be
+        recovered this way."""
+        return [t for t in self.scenario.timeline if t.user_id == user_id and since <= t.created_at]
 
     def fetch_tweets(self, ids) -> list[TweetRecord]:
         wanted = set(ids)
-        with self._lock:
-            by_id = {t.id: t for t, _ in self._events if t.id in wanted}
+        by_id = {t.id: t for t, _ in self._events if t.id in wanted}
         return [by_id[i] for i in ids if i in by_id]
 
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .corpus import TimeWindow, _as_utc
+from .corpus import _as_utc
 from .errors import ParseError, StoreError, UnknownCorpusError
 from .tweets import TweetRecord, format_timestamp, json_line, parse_timestamp, read_ndjson, tweet_from_dict, tweet_to_dict
 
@@ -50,7 +50,6 @@ class StoredTweet:
 @dataclass(frozen=True)
 class RehydrationResult:
     corpus: str
-    rows: tuple[tuple[int, str | None], ...]
     tweets: tuple[TweetRecord, ...]
     missing_ids: tuple[int, ...]
 
@@ -140,12 +139,10 @@ class CorpusStore:
             self._index.setdefault(corpus, {})
             self._handle(corpus)
 
-    def append(self, tweet: TweetRecord, corpus: str, *, is_probe: bool = False, stored_at: datetime | None = None) -> str:
-        """Persist ``tweet`` into ``corpus``; returns "appended" or "duplicate"."""
+    def append(self, tweet: TweetRecord, corpus: str, *, is_probe: bool = False, stored_at: datetime) -> str:
+        """Persist ``tweet`` into ``corpus`` at ``stored_at``; returns "appended" or "duplicate"."""
         if not _CORPUS_NAME_RE.match(corpus):
             raise StoreError(f"corpus name not usable as a file name: {corpus!r}")
-        if stored_at is None:
-            stored_at = datetime.now(timezone.utc)
         with self._lock:
             ids = self._index.setdefault(corpus, {})
             if tweet.id in ids:
@@ -182,13 +179,11 @@ class CorpusStore:
             except ParseError as exc:
                 raise StoreError(str(exc)) from exc
 
-    def scan(self, corpus: str, window: TimeWindow | None = None, include_probes: bool = False) -> list[StoredTweet]:
+    def scan(self, corpus: str, include_probes: bool = False) -> list[StoredTweet]:
         """Point-in-time snapshot, ordered by (created_at, id)."""
         rows = self._read_all(corpus)
         if not include_probes:
             rows = [r for r in rows if not r.is_probe]
-        if window is not None:
-            rows = [r for r in rows if window.contains(r.tweet.created_at)]
         rows.sort(key=lambda r: (_as_utc(r.tweet.created_at), r.tweet.id))
         return rows
 
@@ -221,17 +216,15 @@ def privacy_filter(store: CorpusStore, corpus: str, roster_index: dict[int, str]
 
 # -- dehydration / rehydration -----------------------------------------------
 
-def dehydrate(store: CorpusStore, corpus: str, path, roster_index: dict[int, str] | None = None,
-              generated_at: datetime | None = None) -> int:
+def dehydrate(store: CorpusStore, corpus: str, path, roster_index: dict[int, str] | None = None) -> int:
     """Write the shareable ID list for ``corpus``; returns the row count.
 
-    Probe records never leave the store.  The header timestamp defaults to
-    the latest storedAt in the corpus so the file is reproducible from
-    store content alone (byte-identical for identical stores).
+    Probe records never leave the store.  The header timestamp is the
+    latest storedAt (the epoch for an empty corpus), so identical stores
+    give byte-identical files.
     """
     rows = store.scan(corpus, include_probes=False)
-    if generated_at is None:
-        generated_at = max((r.stored_at for r in rows), default=EPOCH)
+    generated_at = max((r.stored_at for r in rows), default=EPOCH)
     lines = [f"# corpus:{corpus} generated:{format_timestamp(_as_utc(generated_at))}"]
     for row in sorted(rows, key=lambda r: r.tweet.id):
         cid = roster_index.get(row.tweet.user_id) if roster_index else None
@@ -279,6 +272,6 @@ def rehydrate(path, lookup) -> RehydrationResult:
     fetched = {t.id: t for t in lookup.fetch_tweets(ids)}
     tweets = tuple(fetched[i] for i in ids if i in fetched)
     missing = tuple(i for i in ids if i not in fetched)
-    return RehydrationResult(corpus=corpus, rows=tuple(rows), tweets=tweets, missing_ids=missing)
+    return RehydrationResult(corpus=corpus, tweets=tweets, missing_ids=missing)
 
 

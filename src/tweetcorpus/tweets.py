@@ -13,7 +13,9 @@ ends a line at ``"\\n"`` only, so U+2028 or U+0085 inside a string is text,
 skips blank lines, and names ``path:line`` in the ``ParseError`` for a
 line that does not decode.  JSON documents (configs, the world's
 ``scenario.json``, manifests, evidence sidecars) are read by
-``load_json_config``, which names the file in its ``ConfigError``.
+``load_json_config``, which names the file in its ``ConfigError``; a
+document's list of entries is checked by ``object_list``, which names the
+entry.
 
 Entity offset convention: ``start`` indexes the marker character
 ('#' or '@'), ``end`` is exclusive, the entity text excludes the marker,
@@ -343,6 +345,20 @@ def load_json_config(path) -> dict:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path} must hold a JSON object, got {type(doc).__name__}")
-    return doc
+    return json_object(doc, str(path))
+
+
+def json_object(value, where: str) -> dict:
+    """``value`` if it is a JSON object; otherwise a ConfigError naming ``where``."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def object_list(doc, key: str, what: str) -> list[dict]:
+    """The list of JSON objects that the ``what`` document ``doc`` holds
+    under ``key``; otherwise a ConfigError naming the key or the entry."""
+    items = doc.get(key) if isinstance(doc, dict) else None
+    if not isinstance(items, list):
+        raise ConfigError(f"{what} must be an object with a '{key}' list")
+    return [json_object(item, f"{what} {key}[{i}]") for i, item in enumerate(items)]

@@ -20,6 +20,9 @@ from tweetcorpus.store import CorpusStore
 from tweetcorpus.tweets import format_timestamp, parse_tweet
 
 
+WINDOW = {"start": "2013-09-01T00:00:00Z", "end": "2013-09-02T00:00:00Z"}
+
+
 def build_world(root, seed=7):
     s = build_scenario(bundestag_mini(
         seed=seed, n_candidates=12, n_journalists=4, n_editors=2, n_public=30,
@@ -393,6 +396,36 @@ class TestExitCodes:
                                "--ids", tmp_path / "x.ids", "--out", tmp_path / "x.ndjson")
         assert code == 2
         assert str(world / "scenario.json") in json.loads(err.strip().splitlines()[-1])["message"]
+
+    # (the option that reads the file, its content, what the error message must name)
+    @pytest.mark.parametrize("option, doc, named", [
+        ("--corpora", {"corpora": [5]}, "corpora[0]"),
+        ("--corpora", {"corpora": "abc"}, "'corpora' list"),
+        ("--corpora", {"corpora": [{"name": "c", "window": 5}]}, "corpus 'c' field 'window'"),
+        ("--corpora", {"corpora": [{"name": "c", "window": WINDOW, "strategy": 5}]}, "corpus 'c' field 'strategy'"),
+        ("--corpora", {"corpora": [{"name": "c", "window": WINDOW, "metadata": 5,
+                                    "strategy": {"kind": "keywords", "hashtags": ["x"]}}]}, "corpus 'c' field 'metadata'"),
+        ("--probes", {"probes": {}}, "'probes' list"),
+        ("--sets", {"sets": [5]}, "sets[0]"),
+        ("--amendments", {"amendments": {}}, "'amendments' list"),
+    ])
+    def test_malformed_config_list_is_2_and_named(self, env, tmp_path, capsys, option, doc, named):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        run = ("collect", "run", "--world", env["world"], "--store", tmp_path / "store", "--manifest", tmp_path / "m.json")
+        argv = {
+            "--corpora": run + ("--corpora", path),
+            "--probes": run + ("--corpora", env["corpora"], "--probes", path),
+            "--sets": ("roster", "resolve", "--sets", path),
+            "--amendments": ("collect", "amend", "--amendments", path, "--corpus", "tag",
+                             "--at", WINDOW["start"], "--keyword", "x"),
+        }[option]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        last = json.loads(err.strip().splitlines()[-1])
+        assert last["category"] == "config" and named in last["message"]
+        assert json.loads(path.read_text(encoding="utf-8")) == doc
+        assert not (tmp_path / "m.json").exists()
 
     def test_bad_threshold_is_5(self, env, capsys):
         code, _, err = run_cli(capsys, "authorities", "--graph", env["world"] / "follows.tsv",

@@ -181,6 +181,18 @@ class TestFaults:
         assert snap.duplicates == 10
         assert snap.seen == snap.matched == snap.stored + snap.duplicates
 
+    def test_two_windows_listed_out_of_order_give_two_closed_gaps(self, tmp_path):
+        # retry ladder 1+2+4+8(+16): the windows close at +15 s and +31 s
+        s = world(faults=FaultSchedule(disconnect_windows=(DisconnectWindow(4000, 4031), DisconnectWindow(1500, 1515))))
+        d = self.window_def(s)
+        gaps = [(s.start + timedelta(seconds=a), s.start + timedelta(seconds=b)) for a, b in ((1500, 1515), (4000, 4031))]
+        with CorpusStore(tmp_path / "store") as store:
+            h = run_observer(d, open_source(s), store)
+            stored = {r.tweet.id for r in store.scan(d.name)}
+        assert h.fatal_error is None
+        assert [(g.opened_at, g.closed_at) for g in finish(h).gaps] == gaps
+        assert stored == {t.id for t in s.timeline if not any(a <= t.created_at < b for a, b in gaps)}
+
     def test_missing_tweets_fall_inside_recorded_gap(self, tmp_path):
         s = world(faults=FaultSchedule(disconnect_windows=(DisconnectWindow(2000, 2100),)))
         d = self.window_def(s)
@@ -310,7 +322,7 @@ class TestAmendment:
                             yield StreamItem(kind="tweet", tweet=t)
                 return gen()
 
-            def backfill_timeline(self, user_id, since, until=None):
+            def backfill_timeline(self, user_id, since):
                 return [t for t in timeline if t.user_id == user_id and t.created_at >= since]
 
         d = CorpusDefinition("a", AccountQuery(accounts=((1, "alpha"),)),
@@ -419,7 +431,7 @@ class TestSinkFailures:
             self.remaining = fail_times
             self.calls = 0
 
-        def append(self, tweet, corpus, *, is_probe=False, stored_at=None):
+        def append(self, tweet, corpus, *, is_probe=False, stored_at):
             self.calls += 1
             if self.remaining > 0:
                 self.remaining -= 1

@@ -8,7 +8,6 @@ from datetime import datetime, timedelta, timezone
 
 import pytest
 
-from tweetcorpus.corpus import TimeWindow
 from tweetcorpus.errors import ParseError, StoreError, UnknownCorpusError
 from tweetcorpus.store import (
     CorpusStore,
@@ -80,7 +79,14 @@ class TestAppend:
     def test_unsafe_corpus_name(self, tmp_path):
         with CorpusStore(tmp_path) as s:
             with pytest.raises(StoreError):
-                s.append(make_tweet(1), "../escape")
+                s.append(make_tweet(1), "../escape", stored_at=BASE)
+
+    def test_stored_at_is_required(self, tmp_path):
+        with CorpusStore(tmp_path) as s:
+            with pytest.raises(TypeError, match="stored_at"):
+                s.append(make_tweet(1), "c")
+            assert s.corpora() == []
+        assert not (tmp_path / "c.ndjson").exists()
 
     def test_concurrent_appends_no_duplicates(self, tmp_path):
         with CorpusStore(tmp_path) as s:
@@ -128,16 +134,6 @@ class TestScan:
             first = [r.tweet.id for r in s.scan("c")]
         with CorpusStore(tmp_path) as s2:
             assert [r.tweet.id for r in s2.scan("c")] == first
-
-    def test_window_subset_matches_independent_filter(self, tmp_path):
-        with CorpusStore(tmp_path) as s:
-            tweets = [make_tweet(i, created=BASE + timedelta(hours=i)) for i in range(48)]
-            for t in tweets:
-                s.append(t, "c", stored_at=BASE)
-            w = TimeWindow(start=BASE + timedelta(hours=10), end=BASE + timedelta(hours=20))
-            got = {r.tweet.id for r in s.scan("c", window=w)}
-            want = {t.id for t in tweets if w.start <= t.created_at < w.end}
-            assert got == want and len(want) == 10
 
     def test_probe_visibility_toggle(self, tmp_path):
         with CorpusStore(tmp_path) as s:
