@@ -20,7 +20,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import AnalysisError, ConfigError
-from .tweets import load_json_config
+from .tweets import json_field, load_json_config
 
 RULES = ("gatekeepers", "journalists", "editors")
 
@@ -39,9 +39,8 @@ class FollowGraph:
     editors: frozenset[int] = frozenset()
 
     def __post_init__(self):
-        object.__setattr__(self, "edges", frozenset((int(a), int(b)) for a, b in self.edges))
-        for name in ("gatekeepers", "journalists", "editors"):
-            object.__setattr__(self, name, frozenset(int(x) for x in getattr(self, name)))
+        for name in ("edges", "gatekeepers", "journalists", "editors"):
+            object.__setattr__(self, name, frozenset(getattr(self, name)))
         selfies = [a for a, b in self.edges if a == b]
         if selfies:
             raise ConfigError(f"self-follow edges not allowed: {sorted(selfies)}")
@@ -239,18 +238,12 @@ def load_follow_graph(edges_path, groups_path) -> FollowGraph:
         if not line.strip():
             continue
         parts = line.split("\t")
-        if len(parts) != 2:
-            raise ConfigError(f"{edges_path}:{lineno}: expected follower<TAB>followed, got {line!r}")
-        try:
-            edges.add((int(parts[0]), int(parts[1])))
-        except ValueError as exc:
-            raise ConfigError(f"{edges_path}:{lineno}: ids must be integers: {line!r}") from exc
-    groups = load_json_config(groups_path)
-    if "gatekeepers" not in groups:
-        raise ConfigError(f"{groups_path}: group file needs a 'gatekeepers' list")
-    return FollowGraph(
+        if len(parts) != 2 or not all(p.isdecimal() for p in parts):
+            raise ConfigError(f"{edges_path}:{lineno}: expected follower<TAB>followed ids, got {line!r}")
+        edges.add((int(parts[0]), int(parts[1])))
+    return load_json_config(groups_path, lambda groups: FollowGraph(
         edges=frozenset(edges),
-        gatekeepers=frozenset(groups["gatekeepers"]),
-        journalists=frozenset(groups.get("journalists", ())),
-        editors=frozenset(groups.get("editors", ())),
-    )
+        gatekeepers=json_field(groups, "gatekeepers", [int]),
+        journalists=json_field(groups, "journalists", [int], ()),
+        editors=json_field(groups, "editors", [int], ()),
+    ))

@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from datetime import datetime
 from pathlib import Path
 
 from . import __version__
@@ -34,7 +35,7 @@ from .collect import (
 )
 from .corpus import load_corpus_config
 from .errors import AnalysisError, ConfigError, SourceError, StoreError
-from .observer import AcceleratedClock, AmendmentPlan, RealtimeClock
+from .observer import AmendmentPlan
 from .probes import compute_completeness, read_probe_log, report_json
 from .roster import (
     AccountCandidateSet,
@@ -57,7 +58,7 @@ from .sim import (
     write_world,
 )
 from .store import CorpusStore, dehydrate, privacy_filter, rehydrate
-from .tweets import object_list, parse_timestamp, serialize_tweet
+from .tweets import json_field, json_value, object_list, serialize_tweet
 
 
 def _log(event: str, **extra):
@@ -76,25 +77,17 @@ def _open_store(root) -> CorpusStore:
     return store
 
 
-def _clock_factory(args, scenario):
-    cls = RealtimeClock if args.clock == "realtime" else AcceleratedClock
-    return lambda: cls(scenario.start)
-
-
 def _parse_account(text: str) -> tuple[int, str]:
     user_id, sep, screen_name = text.partition(":")
-    if not sep or not screen_name:
-        raise ConfigError(f"account must be 'userId:screenName', got {text!r}")
-    try:
-        return int(user_id), screen_name
-    except ValueError as exc:
-        raise ConfigError(f"account user id is not an integer: {text!r}") from exc
+    if not user_id.isdecimal() or not sep or not screen_name:
+        raise ConfigError(f"account must be 'userId:screenName' with an integer id, got {text!r}")
+    return int(user_id), screen_name
 
 
 # -- sim -----------------------------------------------------------------------
 
 def cmd_sim_build(args):
-    config = config_from_obj(load_json_config(args.config))
+    config = load_json_config(args.config, config_from_obj)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     scenario = build_scenario(config)
@@ -130,11 +123,11 @@ def _run_inputs(args):
     config_paths = [args.world / "scenario.json", args.corpora]
     probe_plans = ()
     if args.probes is not None:
-        probe_plans = probe_plans_from_obj(load_json_config(args.probes))
+        probe_plans = load_json_config(args.probes, probe_plans_from_obj)
         config_paths.append(args.probes)
     amendments = ()
     if getattr(args, "amendments", None) is not None:
-        amendments = amendments_from_obj(load_json_config(args.amendments))
+        amendments = load_json_config(args.amendments, amendments_from_obj)
         config_paths.append(args.amendments)
     return scenario, defs, probe_plans, amendments, config_paths
 
@@ -146,7 +139,6 @@ def cmd_collect_run(args):
         manifest = collect_run(
             scenario, defs, store, probe_plans=probe_plans, amendments=amendments,
             config_paths=config_paths, manifest_path=args.manifest, logs_dir=args.logs,
-            clock_factory=_clock_factory(args, scenario),
         )
     _log("runFinished", manifest=str(args.manifest), runId=manifest.run_id, status=manifest.status)
     print(manifest_table(manifest_json(manifest)))
@@ -157,7 +149,7 @@ def cmd_collect_amend(args):
     keywords = tuple(args.keyword)
     if not accounts and not keywords:
         raise ConfigError("an amendment needs at least one --account or --keyword")
-    plan = AmendmentPlan(at=parse_timestamp(args.at), accounts=accounts,
+    plan = AmendmentPlan(at=json_value(args.at, datetime, "--at"), accounts=accounts,
                          keywords=keywords, backfill=not args.no_backfill)
     total = append_amendment(args.amendments, ScheduledAmendment(corpus=args.corpus, plan=plan))
     _log("amendmentQueued", at=args.at, corpus=args.corpus, file=str(args.amendments))
@@ -183,8 +175,7 @@ def cmd_probe_run(args):
     _log("probeRunStarted", corpora=sorted(probed), store=str(args.store))
     with _open_store(args.store) as store:
         manifest = collect_run(
-            scenario, defs, store, probe_plans=plans, config_paths=config_paths,
-            logs_dir=args.logs, clock_factory=_clock_factory(args, scenario),
+            scenario, defs, store, probe_plans=plans, config_paths=config_paths, logs_dir=args.logs,
         )
     _emit({"reports": [report_json(r) for r in manifest.completeness]})
 
@@ -298,32 +289,24 @@ def cmd_roster_load(args):
     })
 
 
-def _candidate_sets_from_obj(doc) -> list[AccountCandidateSet]:
-    out = []
-    for i, entry in enumerate(object_list(doc, "sets", "resolve input")):
-        where = f"sets[{i}]"
-        try:
-            options = tuple(
-                AccountOption(
-                    user_id=int(o["userId"]),
-                    screen_name=o["screenName"],
-                    evidence=frozenset(o.get("evidence", ())),
-                    platform_verified_badge=bool(o.get("platformVerifiedBadge", False)),
-                    is_professional=bool(o.get("isProfessional", False)),
-                )
-                for o in entry.get("options", ())
-            )
-            out.append(AccountCandidateSet(candidate_id=entry["candidateId"], options=options))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"{where}: {exc!r}") from exc
-        except ConfigError as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
-    return out
+def _account_option(obj) -> AccountOption:
+    return AccountOption(
+        user_id=json_field(obj, "userId", int),
+        screen_name=json_field(obj, "screenName", str),
+        evidence=json_field(obj, "evidence", [str], ()),
+        platform_verified_badge=json_field(obj, "platformVerifiedBadge", bool, False),
+        is_professional=json_field(obj, "isProfessional", bool, False),
+    )
+
+
+def _candidate_set(entry) -> AccountCandidateSet:
+    return AccountCandidateSet(candidate_id=json_field(entry, "candidateId", str),
+                               options=json_field(entry, "options", [_account_option], ()))
 
 
 def cmd_roster_resolve(args):
     resolutions = []
-    for s in _candidate_sets_from_obj(load_json_config(args.sets)):
+    for s in load_json_config(args.sets, lambda doc: object_list(doc, "sets", "resolve input", _candidate_set)):
         r = resolve_account(s)
         resolutions.append({
             "candidateId": s.candidate_id,
@@ -343,8 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the scenario seed wherever a scenario is built")
-    parser.add_argument("--clock", choices=("accelerated", "realtime"), default="accelerated",
-                        help="run reconnect backoff in simulated or wall-clock time")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("sim", help="deterministic platform scenarios").add_subparsers(

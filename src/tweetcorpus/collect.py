@@ -15,12 +15,12 @@ from datetime import datetime, timedelta
 from pathlib import Path
 
 from . import __version__
-from .corpus import CorpusDefinition
-from .errors import ConfigError, ParseError
+from .corpus import CorpusDefinition, account_from_obj
+from .errors import ConfigError
 from .observer import AmendmentEvent, AmendmentPlan, ObserverInstance, run_observer
 from .probes import DEFAULT_INTERVAL, CompletenessReport, compute_completeness, inject_probes, report_json, write_probe_log
 from .sim import Scenario, open_source
-from .tweets import format_timestamp, load_json_config, object_list, parse_timestamp
+from .tweets import format_timestamp, json_field, json_value, load_json_config, object_list
 
 
 @dataclass(frozen=True)
@@ -152,36 +152,29 @@ def manifest_table(doc: dict) -> str:
     return "\n".join(lines)
 
 
+def _probe_plan(entry) -> ProbePlan:
+    return ProbePlan(
+        corpus=json_field(entry, "corpus", str),
+        count=json_field(entry, "count", int),
+        interval=timedelta(seconds=json_field(entry, "intervalSeconds", float, DEFAULT_INTERVAL.total_seconds())),
+    )
+
+
 def probe_plans_from_obj(doc) -> list[ProbePlan]:
-    plans: list[ProbePlan] = []
-    for i, entry in enumerate(object_list(doc, "probes", "probe config")):
-        where = f"probes[{i}]"
-        try:
-            plans.append(ProbePlan(
-                corpus=entry["corpus"],
-                count=int(entry["count"]),
-                interval=timedelta(seconds=float(entry.get("intervalSeconds", DEFAULT_INTERVAL.total_seconds()))),
-            ))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"{where}: {exc!r}") from exc
-    return plans
+    return object_list(doc, "probes", "probe config", _probe_plan)
+
+
+def _scheduled_amendment(entry) -> ScheduledAmendment:
+    return ScheduledAmendment(corpus=json_field(entry, "corpus", str), plan=AmendmentPlan(
+        at=json_field(entry, "at", datetime),
+        accounts=json_field(entry, "accounts", [account_from_obj], ()),
+        keywords=json_field(entry, "keywords", [str], ()),
+        backfill=json_field(entry, "backfill", bool, True),
+    ))
 
 
 def amendments_from_obj(doc) -> list[ScheduledAmendment]:
-    out: list[ScheduledAmendment] = []
-    for i, entry in enumerate(object_list(doc, "amendments", "amendment config")):
-        where = f"amendments[{i}]"
-        try:
-            plan = AmendmentPlan(
-                at=parse_timestamp(entry["at"]),
-                accounts=tuple((a["id"], a["screenName"]) for a in entry.get("accounts", ())),
-                keywords=tuple(entry.get("keywords", ())),
-                backfill=bool(entry.get("backfill", True)),
-            )
-            out.append(ScheduledAmendment(corpus=entry["corpus"], plan=plan))
-        except (KeyError, TypeError, ValueError, ParseError) as exc:
-            raise ConfigError(f"{where}: {exc!r}") from exc
-    return out
+    return object_list(doc, "amendments", "amendment config", _scheduled_amendment)
 
 
 def _amendment_entry(sa: ScheduledAmendment) -> dict:
@@ -201,7 +194,7 @@ def append_amendment(path, sa: ScheduledAmendment) -> int:
     """
     path = Path(path)
     doc = load_json_config(path) if path.exists() else {"amendments": []}
-    amendments_from_obj(doc)                       # reject malformed files before touching them
+    json_value(doc, amendments_from_obj, str(path))  # reject malformed files before touching them
     doc["amendments"].append(_amendment_entry(sa))
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")

@@ -24,7 +24,7 @@ from functools import cached_property
 from typing import Union
 
 from .errors import ConfigError
-from .tweets import TweetRecord, json_object, load_json_config, object_list, parse_timestamp
+from .tweets import TweetRecord, json_field, load_json_config, object_list
 
 FORMAT_FLAGS = frozenset({"retweets_only", "must_have_url", "must_have_image"})
 
@@ -61,7 +61,7 @@ class AccountQuery:
     include_retweets_and_replies: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "accounts", tuple((int(i), str(n)) for i, n in self.accounts))
+        object.__setattr__(self, "accounts", tuple(self.accounts))
         if not self.accounts:
             raise ConfigError("account list is empty")
         ids = [i for i, _ in self.accounts]
@@ -88,7 +88,7 @@ class KeywordQuery:
 
     def __post_init__(self):
         object.__setattr__(self, "hashtags", tuple(h.lower().lstrip("#") for h in self.hashtags))
-        object.__setattr__(self, "terms", tuple(str(t) for t in self.terms))
+        object.__setattr__(self, "terms", tuple(self.terms))
         if not self.hashtags and not self.terms:
             raise ConfigError("keyword query needs at least one hashtag or term")
 
@@ -306,81 +306,68 @@ def compile_query(d: CorpusDefinition) -> StreamQuery:
 
 # --- configuration file ---------------------------------------------------
 
-def _window_from_obj(obj, where: str) -> TimeWindow:
-    json_object(obj, where)
-    try:
-        start = parse_timestamp(obj["start"])
-        end = parse_timestamp(obj["end"])
-    except KeyError as exc:
-        raise ConfigError(f"{where}: window needs start and end") from exc
-    if not start < end:
-        raise ConfigError(f"{where}: window start {obj['start']} is not before end {obj['end']}")
-    return TimeWindow(start=start, end=end)
+def account_from_obj(obj) -> tuple[int, str]:
+    """An ``{"id": ..., "screenName": ...}`` object as a (user id, screen name) pair."""
+    return json_field(obj, "id", int), json_field(obj, "screenName", str)
 
 
-def _metadata_from_obj(obj, where: str) -> MetadataQuery:
-    json_object(obj, where)
-    window = _window_from_obj(obj["timeWindow"], where + " field 'timeWindow'") if obj.get("timeWindow") else None
-    try:
-        return MetadataQuery(
-            country=obj.get("country"),
-            time_window=window,
-            languages=frozenset(obj["languages"]) if obj.get("languages") is not None else None,
-            format=frozenset(obj.get("format", ())),
+def _window_from_obj(obj) -> TimeWindow:
+    return TimeWindow(start=json_field(obj, "start", datetime), end=json_field(obj, "end", datetime))
+
+
+def _metadata_from_obj(obj) -> MetadataQuery:
+    return MetadataQuery(
+        country=json_field(obj, "country", str, None),
+        time_window=json_field(obj, "timeWindow", _window_from_obj, None),
+        languages=json_field(obj, "languages", [str], None),
+        format=json_field(obj, "format", [str], ()),
+    )
+
+
+def _strategy_from_obj(obj) -> Strategy:
+    kind = json_field(obj, "kind", str)
+    if kind == "accounts":
+        return AccountQuery(
+            accounts=json_field(obj, "accounts", [account_from_obj], ()),
+            match_mentions=json_field(obj, "matchMentions", bool, True),
+            match_name_hashtag=json_field(obj, "matchNameHashtag", bool, True),
+            include_retweets_and_replies=json_field(obj, "includeRetweetsAndReplies", bool, True),
         )
-    except ConfigError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
-def _strategy_from_obj(obj, where: str) -> Strategy:
-    kind = json_object(obj, where).get("kind")
-    try:
-        if kind == "accounts":
-            return AccountQuery(
-                accounts=tuple((a["id"], a["screenName"]) for a in obj.get("accounts", ())),
-                match_mentions=bool(obj.get("matchMentions", True)),
-                match_name_hashtag=bool(obj.get("matchNameHashtag", True)),
-                include_retweets_and_replies=bool(obj.get("includeRetweetsAndReplies", True)),
-            )
-        if kind == "keywords":
-            return KeywordQuery(hashtags=tuple(obj.get("hashtags", ())), terms=tuple(obj.get("terms", ())))
-        if kind == "metadata":
-            return _metadata_from_obj(obj, where)
-        if kind == "random":
-            return RandomSampleQuery(rate=float(obj["rate"]), seed=int(obj.get("seed", 0)))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: bad strategy block: {exc}") from exc
-    except ConfigError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-    raise ConfigError(f"{where}: unknown strategy kind {kind!r}")
+    if kind == "keywords":
+        return KeywordQuery(hashtags=json_field(obj, "hashtags", [str], ()), terms=json_field(obj, "terms", [str], ()))
+    if kind == "metadata":
+        return _metadata_from_obj(obj)
+    if kind == "random":
+        return RandomSampleQuery(rate=json_field(obj, "rate", float), seed=json_field(obj, "seed", int, 0))
+    raise ConfigError(f"unknown strategy kind {kind!r}")
 
 
 def corpora_from_obj(doc) -> list[CorpusDefinition]:
-    """Build definitions from a decoded config document; all problems are
-    collected and reported together with corpus name and field."""
-    entries = object_list(doc, "corpora", "corpus config")
-    defs: list[CorpusDefinition] = []
+    """Build definitions from a decoded config document; the problems of all
+    named corpora are reported together, each with the corpus name and field."""
     problems: list[str] = []
     seen: set[str] = set()
-    for i, entry in enumerate(entries):
-        name = entry.get("name") or f"<corpora[{i}]>"
-        where = f"corpus {name!r}"
-        if not entry.get("name"):
-            problems.append(f"{where}: missing name")
-            continue
+
+    def definition(entry) -> CorpusDefinition | None:
+        name = json_field(entry, "name", str)
+        if not name:
+            raise ConfigError("field 'name' is empty")
         if name in seen:
-            problems.append(f"{where}: duplicate corpus name")
-            continue
+            problems.append(f"corpus {name!r}: duplicate corpus name")
+            return None
         seen.add(name)
         try:
-            window = _window_from_obj(entry["window"], where + " field 'window'")
-            strategy = _strategy_from_obj(entry.get("strategy", {}), where + " field 'strategy'")
-            extra = _metadata_from_obj(entry["metadata"], where + " field 'metadata'") if entry.get("metadata") else None
-            defs.append(CorpusDefinition(name=name, strategy=strategy, window=window, extra_metadata=extra))
-        except KeyError as exc:
-            problems.append(f"{where}: missing field {exc}")
+            return CorpusDefinition(
+                name=name,
+                window=json_field(entry, "window", _window_from_obj),
+                strategy=json_field(entry, "strategy", _strategy_from_obj),
+                extra_metadata=json_field(entry, "metadata", _metadata_from_obj, None),
+            )
         except ConfigError as exc:
-            problems.append(str(exc))
+            problems.append(f"corpus {name!r} {exc}")
+            return None
+
+    defs = [d for d in object_list(doc, "corpora", "corpus config", definition) if d is not None]
     if problems:
         raise ConfigError("; ".join(problems))
     return defs
@@ -388,4 +375,4 @@ def corpora_from_obj(doc) -> list[CorpusDefinition]:
 
 def load_corpus_config(path) -> list[CorpusDefinition]:
     """Load and check a corpus configuration file (JSON)."""
-    return corpora_from_obj(load_json_config(path))
+    return load_json_config(path, corpora_from_obj)

@@ -26,7 +26,6 @@ interleaving.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -61,17 +60,6 @@ class AcceleratedClock:
     def sleep_until(self, t: datetime):
         if self.now is None or t > self.now:
             self.now = t
-
-
-class RealtimeClock(AcceleratedClock):
-    """Clock that really waits; reconnect backoff takes wall-clock time."""
-
-    def sleep_until(self, t: datetime):
-        if self.now is not None:
-            delta = (t - self.now).total_seconds()
-            if delta > 0:
-                time.sleep(delta)
-        super().sleep_until(t)
 
 
 @dataclass(frozen=True)
@@ -128,8 +116,6 @@ class ObserverInstance:
 
 def _widened(definition: CorpusDefinition, accounts, keywords):
     """Return (widened definition, fresh accounts, fresh keywords)."""
-    accounts = tuple((int(u), str(n)) for u, n in accounts)
-    keywords = tuple(str(k) for k in keywords)
     if not accounts and not keywords:
         raise ConfigError("amendment must add at least one account or keyword")
     s = definition.strategy
@@ -220,7 +206,12 @@ class ObserverHandle:
             except SourceUnavailable:
                 at, sub = self._reconnect(at or self._definition.window.start)
             except SourceDisconnected as exc:
-                at, sub = self._reconnect(exc.at)
+                if self._pending and self._pending[0].at <= exc.at:
+                    # the stream reached the amendment first; the widened stream
+                    # replays from its time and meets this outage once, not twice
+                    at, sub = self._amend(self._pending.pop(0)), None
+                else:
+                    at, sub = self._reconnect(exc.at)
             if at is None:
                 return
 

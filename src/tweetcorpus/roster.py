@@ -24,7 +24,7 @@ from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 from .errors import ConfigError
-from .tweets import format_timestamp, load_json_config, parse_timestamp
+from .tweets import format_timestamp, json_field, json_value, load_json_config
 
 EVIDENCE_KINDS = frozenset({"party_reference", "website_link", "image_or_constituency_match"})
 CANDIDATURES = ("direct", "list", "both")
@@ -156,12 +156,6 @@ class Roster:
     def __len__(self):
         return len(self.candidates)
 
-    def by_id(self, candidate_id: str) -> CandidateRecord:
-        for c in self.candidates:
-            if c.candidate_id == candidate_id:
-                return c
-        raise KeyError(candidate_id)
-
     def twitter_index(self) -> dict[int, str]:
         """Verified account user id -> candidate id."""
         return {c.twitter.user_id: c.candidate_id for c in self.candidates if c.twitter}
@@ -184,20 +178,18 @@ def _link_from_parts(candidate_id, platform, user_id_cell, screen_name_cell, sid
         return None
     if not user_id_cell or not screen_name_cell:
         raise ConfigError(f"candidate {candidate_id}: {platform} account needs both id and screen name")
-    entry = (sidecar.get(candidate_id) or {}).get(platform)
-    if entry is None:
+    user_id = int(user_id_cell)
+    entry = json_field(sidecar, candidate_id, dict, {})
+    if platform not in entry:
         raise ConfigError(f"candidate {candidate_id}: {platform} account has no evidence record")
-    try:
-        return VerifiedLink(
-            user_id=int(user_id_cell),
-            screen_name=screen_name_cell,
-            evidence=frozenset(entry["evidence"]),
-            platform_verified_badge=bool(entry.get("badge", False)),
-            is_professional=bool(entry.get("professional", False)),
-            decided_at=parse_timestamp(entry["decidedAt"]),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"candidate {candidate_id}: {platform} evidence record missing {exc}") from exc
+    return json_value(entry[platform], lambda record: VerifiedLink(
+        user_id=user_id,
+        screen_name=screen_name_cell,
+        evidence=json_field(record, "evidence", [str]),
+        platform_verified_badge=json_field(record, "badge", bool, False),
+        is_professional=json_field(record, "professional", bool, False),
+        decided_at=json_field(record, "decidedAt", datetime),
+    ), f"candidate {candidate_id} {platform} evidence record")
 
 
 def load_roster(path) -> Roster:

@@ -39,9 +39,10 @@ from .tweets import (
     TweetRecord,
     extract_entities,
     format_timestamp,
+    json_field,
     json_line,
+    json_value,
     load_json_config,
-    parse_timestamp,
     parse_tweet,  # noqa: F401 -- unused here, but perfbench/tracing.py wraps sim.parse_tweet
     read_ndjson,
     serialize_tweet,
@@ -463,7 +464,11 @@ def _delivers(query: StreamQuery, t: TweetRecord, author_of: dict[int, int]) -> 
 
 
 class Subscription:
-    """One live stream: iterate StreamItems; disconnects raise."""
+    """One live stream: iterate StreamItems; disconnects raise.
+
+    The next disconnect window drops the stream at its start even when no
+    event falls inside it, if it starts before the scenario end.
+    """
 
     def __init__(self, source: "SimStreamSource", query: StreamQuery, at: datetime, subscriber=None):
         self._source = source
@@ -475,7 +480,7 @@ class Subscription:
 
     def __iter__(self):
         source = self._source
-        outages = [(start, end) for start, end in source._outages if start > self.at]
+        outage = next((start for start, _ in source._outages if start > self.at), None)
         key = (self.subscriber, self.query.follow_ids, self.query.track_terms, self.query.sample)
 
         delivered = source._delivered[key]
@@ -484,10 +489,8 @@ class Subscription:
         yield from redeliver
 
         for t, is_probe in events:
-            while outages and outages[0][0] <= t.created_at:
-                start, end = outages.pop(0)
-                if t.created_at < end:
-                    raise SourceDisconnected(at=start)
+            if outage is not None and outage <= t.created_at:
+                raise SourceDisconnected(at=outage)
             if not _delivers(self.query, t, source._author_of):
                 continue
             acc = self._probe_drop if is_probe else self._drop
@@ -497,6 +500,8 @@ class Subscription:
             item = StreamItem(kind="tweet", tweet=t, is_probe=is_probe)
             delivered.append(item)
             yield item
+        if outage is not None and outage < source.scenario.end:
+            raise SourceDisconnected(at=outage)
 
 
 def _created_at(event) -> datetime:
@@ -600,8 +605,10 @@ def _numbers_to_obj(value, keys) -> dict:
 
 
 def _numbers_from_obj(obj, keys, default) -> dict:
-    """The fields ``obj`` sets, each converted to the type of its value in ``default``."""
-    return {keys[key]: type(getattr(default, keys[key]))(value) for key, value in obj.items() if key in keys}
+    """Each field named in ``keys``: ``obj``'s value, read as the type of the
+    field's value in ``default``, or that value when ``obj`` lacks the key."""
+    return {name: json_field(obj, key, type(getattr(default, name)), getattr(default, name))
+            for key, name in keys.items()}
 
 
 def config_to_obj(config: ScenarioConfig) -> dict:
@@ -621,26 +628,18 @@ def config_to_obj(config: ScenarioConfig) -> dict:
 
 def config_from_obj(obj: dict) -> ScenarioConfig:
     """Inverse of ``config_to_obj``; an absent key keeps its ScenarioConfig default."""
-    if not isinstance(obj, dict):
-        raise ConfigError("scenario config must be a JSON object")
-    try:
-        d = ScenarioConfig(seed=int(obj["seed"]))
-        faults, emergent = obj.get("faults", {}), obj.get("emergent", {})
-        fields = _numbers_from_obj(obj, _CONFIG_KEYS, d)
-        fault_fields = _numbers_from_obj(faults, _FAULT_KEYS, d.faults)
-        if "start" in obj:
-            fields["start"] = parse_timestamp(obj["start"])
-        if "hashtagPropensities" in obj:
-            fields["hashtag_propensities"] = tuple((t, float(p)) for t, p in obj["hashtagPropensities"])
-        if "languageMix" in obj:
-            fields["language_mix"] = tuple((l, float(w)) for l, w in obj["languageMix"])
-        if "disconnectWindows" in faults:
-            fault_fields["disconnect_windows"] = tuple(
-                DisconnectWindow(int(a), int(b)) for a, b in faults["disconnectWindows"])
-        return replace(d, **fields, faults=replace(d.faults, **fault_fields),
-                       emergent=replace(d.emergent, **_numbers_from_obj(emergent, _EMERGENT_KEYS, d.emergent)))
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad scenario config: {exc}") from exc
+    d = ScenarioConfig(seed=json_field(json_value(obj, dict, "scenario config"), "seed", int))
+    faults, emergent = json_field(obj, "faults", dict, {}), json_field(obj, "emergent", dict, {})
+    windows = json_field(faults, "disconnectWindows", [(int, int)], ())
+    return replace(
+        d, **_numbers_from_obj(obj, _CONFIG_KEYS, d),
+        start=json_field(obj, "start", datetime, d.start),
+        hashtag_propensities=json_field(obj, "hashtagPropensities", [(str, float)], d.hashtag_propensities),
+        language_mix=json_field(obj, "languageMix", [(str, float)], d.language_mix),
+        faults=replace(d.faults, **_numbers_from_obj(faults, _FAULT_KEYS, d.faults),
+                       disconnect_windows=tuple(DisconnectWindow(a, b) for a, b in windows)),
+        emergent=replace(d.emergent, **_numbers_from_obj(emergent, _EMERGENT_KEYS, d.emergent)),
+    )
 
 
 def write_world(scenario: Scenario, world_dir) -> Path:
@@ -674,12 +673,7 @@ def _account(obj) -> SimAccount:
 
 def load_world(world_dir) -> Scenario:
     world = Path(world_dir)
-    meta_path = world / "scenario.json"
-    meta = load_json_config(meta_path)
-    try:
-        config = config_from_obj(meta.get("config"))
-    except ConfigError as exc:
-        raise ConfigError(f"{meta_path}: {exc}") from exc
+    config = load_json_config(world / "scenario.json", lambda meta: json_field(meta, "config", config_from_obj))
     accounts = tuple(read_ndjson(world / "accounts.ndjson", _account))
     graph = load_follow_graph(world / "follows.tsv", world / "groups.json")
     timeline = tuple(read_ndjson(world / "timeline.ndjson", tweet_from_dict))

@@ -13,9 +13,10 @@ ends a line at ``"\\n"`` only, so U+2028 or U+0085 inside a string is text,
 skips blank lines, and names ``path:line`` in the ``ParseError`` for a
 line that does not decode.  JSON documents (configs, the world's
 ``scenario.json``, manifests, evidence sidecars) are read by
-``load_json_config``, which names the file in its ``ConfigError``; a
-document's list of entries is checked by ``object_list``, which names the
-entry.
+``load_json_config``, which names the file in its ``ConfigError``.  Their
+values are read by ``json_field`` and ``json_value``, and a document's list
+of entries by ``object_list``: a value of the wrong kind is never coerced,
+it is a ``ConfigError`` that names the entry and the key.
 
 Entity offset convention: ``start`` indexes the marker character
 ('#' or '@'), ``end`` is exclusive, the entity text excludes the marker,
@@ -26,6 +27,7 @@ rejecting them.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import re
 from dataclasses import dataclass
@@ -40,6 +42,9 @@ MANDATORY_ATTRS = ("_id", "userid", "screenName", "createdAt", "tweettext", "has
 ISSUE_KINDS = frozenset({"offset-out-of-range", "slice-mismatch", "marker-missing", "timestamp-invalid"})
 
 _ENTITY_RE = re.compile(r"[#@]\w+")
+
+# what decoding a value of the wrong shape may raise; each is reported naming the place
+DECODE_ERRORS = (AttributeError, KeyError, TypeError, ValueError, ConfigError)
 
 
 @dataclass(frozen=True)
@@ -329,7 +334,7 @@ def read_ndjson(path, row):
                 obj = json.loads(line.decode("utf-8"))
                 parsed = True
                 value = row(obj)
-            except (AttributeError, KeyError, TypeError, ValueError, ConfigError) as exc:
+            except DECODE_ERRORS as exc:
                 err = ParseError(f"{path}:{lineno}: unreadable line: {type(exc).__name__}: {exc}")
                 if not parsed and not line.endswith(b"\n"):
                     err.torn_at = fh.tell() - len(line)
@@ -337,28 +342,82 @@ def read_ndjson(path, row):
             yield value
 
 
-def load_json_config(path) -> dict:
-    """Read a JSON document whose top level is an object."""
+def load_json_config(path, build=dict):
+    """``build(doc)`` for the JSON document at ``path``, whose top level must
+    be an object; every error names the file."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
-    return json_object(doc, str(path))
+    return json_value(doc, build, str(path))
 
 
-def json_object(value, where: str) -> dict:
-    """``value`` if it is a JSON object; otherwise a ConfigError naming ``where``."""
-    if not isinstance(value, dict):
-        raise ConfigError(f"{where} must be a JSON object, got {type(value).__name__}")
-    return value
-
-
-def object_list(doc, key: str, what: str) -> list[dict]:
-    """The list of JSON objects that the ``what`` document ``doc`` holds
-    under ``key``; otherwise a ConfigError naming the key or the entry."""
+def object_list(doc, key: str, what: str, entry) -> list:
+    """``entry(obj)`` for each JSON object in the list that the ``what``
+    document ``doc`` holds under ``key``; otherwise a ConfigError naming the
+    key, or the entry as ``what key[i]``."""
     items = doc.get(key) if isinstance(doc, dict) else None
-    if not isinstance(items, list):
+    if type(items) is not list:
         raise ConfigError(f"{what} must be an object with a '{key}' list")
-    return [json_object(item, f"{what} {key}[{i}]") for i, item in enumerate(items)]
+    return [json_value(item, entry, f"{what} {key}[{i}]") for i, item in enumerate(items)]
+
+
+# -- config values ---------------------------------------------------------------
+
+_REQUIRED = object()
+
+_KIND_NAMES = {
+    str: "a string", int: "an integer", float: "a number", bool: "true or false",
+    dict: "a JSON object", datetime: "a timestamp with a UTC offset",
+}
+
+
+def _kind_name(kind) -> str:
+    if isinstance(kind, (list, tuple)):
+        return "a list" if isinstance(kind, list) else f"a list of {len(kind)}"
+    return _KIND_NAMES[kind]
+
+
+def json_value(value, kind, name: str):
+    """``value`` read as ``kind``, never coerced; otherwise a ConfigError naming ``name``.
+
+    ``kind`` is a type: ``str``, ``int``, ``bool``, ``dict``, ``float`` (an
+    integer comes back as a float) or ``datetime`` (ISO-8601 with a UTC
+    offset); ``[k]``, a list of ``k``, or ``(k1, k2)``, a list of that shape,
+    both read as tuples; or a function that builds a value from a JSON object.
+    """
+    if isinstance(kind, tuple):
+        if type(value) is list and len(value) == len(kind):
+            return tuple(json_value(v, k, f"{name}[{i}]") for i, (v, k) in enumerate(zip(value, kind)))
+    elif isinstance(kind, list):
+        if type(value) is list:
+            return tuple(json_value(v, kind[0], f"{name}[{i}]") for i, v in enumerate(value))
+    elif kind not in _KIND_NAMES:
+        obj = json_value(value, dict, name)
+        try:
+            return kind(obj)
+        except DECODE_ERRORS as exc:
+            reason = exc if isinstance(exc, ConfigError) else f"{type(exc).__name__}: {exc}"
+            raise ConfigError(f"{name}: {reason}") from exc
+    elif kind is datetime:
+        with contextlib.suppress(ParseError):
+            if (stamp := parse_timestamp(value)).tzinfo is not None:
+                return stamp
+    elif type(value) is kind:
+        return value
+    elif kind is float and type(value) is int:
+        return float(value)
+    shown = json_line(value)
+    raise ConfigError(f"{name} must be {_kind_name(kind)}, got {shown if len(shown) <= 40 else shown[:37] + '...'}")
+
+
+def json_field(obj, key: str, kind, default=_REQUIRED):
+    """``obj[key]`` read by ``json_value`` as ``kind`` and named as the field
+    ``key``; an absent key gives ``default``, or a ConfigError without one."""
+    if key in obj:
+        return json_value(obj[key], kind, f"field {key!r}")
+    if default is _REQUIRED:
+        raise ConfigError(f"field {key!r} is missing")
+    return default

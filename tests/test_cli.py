@@ -21,6 +21,9 @@ from tweetcorpus.tweets import format_timestamp, parse_tweet
 
 
 WINDOW = {"start": "2013-09-01T00:00:00Z", "end": "2013-09-02T00:00:00Z"}
+TAG_CORPUS = {"name": "c", "window": WINDOW, "strategy": {"kind": "keywords", "hashtags": ["wahl2013"]}}
+AMENDMENT = {"corpus": "tag", "at": WINDOW["start"], "keywords": ["btw13"]}
+EVIDENCE = {"badge": False, "decidedAt": "2013-06-01T00:00:00Z", "evidence": ["party_reference"], "professional": True}
 
 
 def build_world(root, seed=7):
@@ -408,17 +411,48 @@ class TestExitCodes:
         ("--probes", {"probes": {}}, "'probes' list"),
         ("--sets", {"sets": [5]}, "sets[0]"),
         ("--amendments", {"amendments": {}}, "'amendments' list"),
+        # a value of the wrong type is refused, never coerced into another collection
+        ("--amendments", {"amendments": [dict(AMENDMENT, keywords="btw13")]}, "'keywords'"),
+        ("--amendments", {"amendments": [dict(AMENDMENT, keywords=[5])]}, "'keywords'"),
+        ("--amendments", {"amendments": [dict(AMENDMENT, backfill="false")]}, "'backfill'"),
+        ("--corpora", {"corpora": [dict(TAG_CORPUS, strategy={"kind": "keywords", "hashtags": "wahl"})]}, "'hashtags'"),
+        ("--corpora", {"corpora": [dict(TAG_CORPUS, strategy={"kind": "keywords", "hashtags": [5]})]}, "'hashtags'"),
+        ("--corpora", {"corpora": [dict(TAG_CORPUS, name=5)]}, "'name'"),
+        ("--probes", {"probes": [{"corpus": "tag", "count": "3"}]}, "'count'"),
+        ("--probes", {"probes": [{"corpus": "tag", "count": 2.7}]}, "'count'"),
+        ("--roster", {"K000": {"twitter": dict(EVIDENCE, professional="no")}}, "'professional'"),
+        ("--roster", {"K000": {"twitter": dict(EVIDENCE, evidence="party_reference")}}, "'evidence'"),
+        ("--sets", {"sets": [{"candidateId": "K000", "options": [
+            {"userId": 1, "screenName": "a", "evidence": "party_reference"}]}]}, "'evidence'"),
+        ("--groups", {"gatekeepers": ["abc"]}, "'gatekeepers'"),
+        ("--groups", {"gatekeepers": 5}, "'gatekeepers'"),
+        # a config timestamp needs a UTC offset
+        ("--corpora", {"corpora": [dict(TAG_CORPUS, window={"start": "2013-09-01T00:00:00",
+                                                            "end": WINDOW["end"]})]}, "'start'"),
+        ("--corpora", {"corpora": [dict(TAG_CORPUS, metadata={"timeWindow": {"start": "2013-09-01T00:00:00",
+                                                                             "end": WINDOW["end"]}})]}, "'timeWindow'"),
+        ("--amendments", {"amendments": [dict(AMENDMENT, at="2013-09-01T00:00:00")]}, "'at'"),
+        ("--at", {"amendments": []}, "--at"),
+        ("--roster", {"K000": {"twitter": dict(EVIDENCE, decidedAt="2013-06-01T00:00:00")}}, "'decidedAt'"),
     ])
     def test_malformed_config_list_is_2_and_named(self, env, tmp_path, capsys, option, doc, named):
         path = tmp_path / "config.json"
+        if option == "--roster":
+            # the sidecar of a five-candidate roster, with the first candidate's record replaced
+            write_small_roster(tmp_path / "roster.csv", env["scenario"])
+            path = tmp_path / "roster.evidence.json"
+            doc = {**json.loads(path.read_text(encoding="utf-8")), **doc}
         path.write_text(json.dumps(doc), encoding="utf-8")
         run = ("collect", "run", "--world", env["world"], "--store", tmp_path / "store", "--manifest", tmp_path / "m.json")
+        amend = ("collect", "amend", "--amendments", path, "--corpus", "tag", "--keyword", "x")
         argv = {
             "--corpora": run + ("--corpora", path),
             "--probes": run + ("--corpora", env["corpora"], "--probes", path),
             "--sets": ("roster", "resolve", "--sets", path),
-            "--amendments": ("collect", "amend", "--amendments", path, "--corpus", "tag",
-                             "--at", WINDOW["start"], "--keyword", "x"),
+            "--amendments": amend + ("--at", WINDOW["start"]),
+            "--at": amend + ("--at", "2013-09-01T00:00:00"),
+            "--roster": ("roster", "load", "--roster", tmp_path / "roster.csv"),
+            "--groups": ("authorities", "--graph", env["world"] / "follows.tsv", "--groups", path),
         }[option]
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
@@ -455,13 +489,6 @@ class TestExitCodes:
             main(["store", "vaporize"])
         assert e.value.code == 2
         capsys.readouterr()
-
-    def test_realtime_clock_accepted(self, tmp_path, capsys):
-        s, world, corpora, probes = build_world(tmp_path, seed=6)
-        code, out, _ = run_cli(capsys, "--clock", "realtime", "probe", "run", "--world", world,
-                               "--corpora", corpora, "--probes", probes, "--store", tmp_path / "store")
-        assert code == 0
-        assert json.loads(out)["reports"][0]["completeness"] == 1.0
 
 
 def bundestag_mini_config_text():

@@ -182,16 +182,34 @@ class TestFaults:
         assert snap.seen == snap.matched == snap.stored + snap.duplicates
 
     def test_two_windows_listed_out_of_order_give_two_closed_gaps(self, tmp_path):
-        # retry ladder 1+2+4+8(+16): the windows close at +15 s and +31 s
-        s = world(faults=FaultSchedule(disconnect_windows=(DisconnectWindow(4000, 4031), DisconnectWindow(1500, 1515))))
-        d = self.window_def(s)
-        gaps = [(s.start + timedelta(seconds=a), s.start + timedelta(seconds=b)) for a, b in ((1500, 1515), (4000, 4031))]
+        # retry ladder 1+2+4(+8+16): the windows close at +7 s, +15 s and +31 s;
+        # no event falls inside (4000, 4007), and that outage is recorded all the same
+        for late in (4031, 4007):
+            s = world(faults=FaultSchedule(disconnect_windows=(DisconnectWindow(4000, late), DisconnectWindow(1500, 1515))))
+            assert not any(4000 <= (t.created_at - s.start).total_seconds() < 4007 for t in s.timeline)
+            d = self.window_def(s)
+            gaps = [(s.start + timedelta(seconds=a), s.start + timedelta(seconds=b)) for a, b in ((1500, 1515), (4000, late))]
+            with CorpusStore(tmp_path / f"store-{late}") as store:
+                h = run_observer(d, open_source(s), store)
+                stored = {r.tweet.id for r in store.scan(d.name)}
+            assert h.fatal_error is None
+            assert [(g.opened_at, g.closed_at) for g in finish(h).gaps] == gaps
+            assert stored == {t.id for t in s.timeline if not any(a <= t.created_at < b for a, b in gaps)}
+
+    @pytest.mark.parametrize("window_holds_an_event", [False, True])
+    def test_amendment_before_a_window_gives_one_gap(self, tmp_path, window_holds_an_event):
+        # no event between the amendment and the window start: the disconnect
+        # comes before any event at or after the amendment time
+        plain = world()
+        secs = sorted((t.created_at - plain.start).total_seconds() for t in plain.timeline)
+        last, after = next((x, y) for x, y in zip(secs, secs[1:]) if y - x > 60 and x > 1000)
+        start, end = int(last) + 10, int(after) + 1 if window_holds_an_event else int(last) + 25
+        s = world(faults=FaultSchedule(disconnect_windows=(DisconnectWindow(start, end),)))
+        plan = AmendmentPlan(at=s.start + timedelta(seconds=last + 1), keywords=("btw13",))
         with CorpusStore(tmp_path / "store") as store:
-            h = run_observer(d, open_source(s), store)
-            stored = {r.tweet.id for r in store.scan(d.name)}
-        assert h.fatal_error is None
-        assert [(g.opened_at, g.closed_at) for g in finish(h).gaps] == gaps
-        assert stored == {t.id for t in s.timeline if not any(a <= t.created_at < b for a, b in gaps)}
+            snap = finish(run_observer(keyword_def(s), open_source(s), store, amendments=(plan,)))
+        assert [g.opened_at for g in snap.gaps] == [s.start + timedelta(seconds=start)]
+        assert len(snap.amendments) == 1
 
     def test_missing_tweets_fall_inside_recorded_gap(self, tmp_path):
         s = world(faults=FaultSchedule(disconnect_windows=(DisconnectWindow(2000, 2100),)))

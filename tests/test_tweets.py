@@ -9,12 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tweetcorpus.errors import ParseError, SchemaError
+from tweetcorpus.errors import ConfigError, ParseError, SchemaError
 from tweetcorpus.tweets import (
     HashtagEntity,
     MentionEntity,
     TweetRecord,
     extract_entities,
+    json_field,
+    json_value,
+    object_list,
     parse_tweet,
     read_ndjson,
     serialize_tweet,
@@ -247,3 +250,41 @@ class TestLineFiles:
         with pytest.raises(ParseError, match=re.escape(f"{path}:2:")) as exc:
             list(read_ndjson(path, dict))
         assert exc.value.torn_at == 8
+
+
+class TestConfigValues:
+    @pytest.mark.parametrize("value, kind", [
+        (True, int), (False, float), (1, bool), ("true", bool), ("3", int), (2.7, int),
+        ("abc", dict), ("abc", [str]), ([5], [str]), ({}, [str]), (None, str),
+        (["de"], (str, float)), (["de", 1, 2], (str, float)),
+        ("2013-09-01T00:00:00", datetime), ("gestern", datetime), (5, datetime),
+    ])
+    def test_wrong_kind_is_refused_and_named(self, value, kind):
+        with pytest.raises(ConfigError, match=r"^field 'k'"):
+            json_field({"k": value}, "k", kind)
+
+    def test_int_is_read_as_float(self):
+        value = json_value(3, float, "rate")
+        assert value == 3.0 and type(value) is float
+        assert json_value(["de", 1], (str, float), "mix") == ("de", 1.0)
+
+    def test_values_of_the_kind_pass_unchanged(self):
+        assert json_value(["a", "b"], [str], "tags") == ("a", "b")
+        assert json_value(False, bool, "flag") is False
+        assert json_value("2013-09-01T00:00:00Z", datetime, "at") == datetime(2013, 9, 1, tzinfo=timezone.utc)
+        assert json_value("2013-09-01T02:00:00+02:00", datetime, "at") == datetime(2013, 9, 1, tzinfo=timezone.utc)
+
+    def test_absent_key_gives_the_default_or_is_named(self):
+        assert json_field({}, "k", int, 7) == 7
+        assert json_field({}, "k", int, None) is None
+        with pytest.raises(ConfigError, match="field 'k' is missing"):
+            json_field({}, "k", int)
+
+    def test_built_entries_name_the_entry_and_key(self):
+        def entry(obj):
+            return json_field(obj, "n", int), json_field(obj, "tags", [str], ())
+        assert object_list({"xs": [{"n": 1}]}, "xs", "doc", entry) == [(1, ())]
+        with pytest.raises(ConfigError, match=r"^doc xs\[1\]: field 'tags'\[0\] must be a string, got 5$"):
+            object_list({"xs": [{"n": 1}, {"n": 2, "tags": [5]}]}, "xs", "doc", entry)
+        with pytest.raises(ConfigError, match=r"^doc xs\[0\]: KeyError"):
+            object_list({"xs": [{}]}, "xs", "doc", lambda obj: obj["n"])
