@@ -269,7 +269,7 @@ def cmd_bias_report(args):
         entries = [
             BiasEntry(
                 name=d.name,
-                stored_ids=frozenset(r.tweet.id for r in store.scan(d.name)),
+                stored_ids=store.ids(d.name),
                 reference_ids=reference(scenario, d),
             )
             for d in defs

@@ -344,17 +344,15 @@ def _strategy_from_obj(obj) -> Strategy:
 
 def corpora_from_obj(doc) -> list[CorpusDefinition]:
     """Build definitions from a decoded config document; the problems of all
-    named corpora are reported together, each with the corpus name and field."""
-    problems: list[str] = []
+    corpora are reported together, each with the corpus name and field."""
     seen: set[str] = set()
 
-    def definition(entry) -> CorpusDefinition | None:
+    def definition(entry) -> CorpusDefinition:
         name = json_field(entry, "name", str)
         if not name:
             raise ConfigError("field 'name' is empty")
         if name in seen:
-            problems.append(f"corpus {name!r}: duplicate corpus name")
-            return None
+            raise ConfigError(f"corpus {name!r}: duplicate corpus name")
         seen.add(name)
         try:
             return CorpusDefinition(
@@ -364,13 +362,9 @@ def corpora_from_obj(doc) -> list[CorpusDefinition]:
                 extra_metadata=json_field(entry, "metadata", _metadata_from_obj, None),
             )
         except ConfigError as exc:
-            problems.append(f"corpus {name!r} {exc}")
-            return None
+            raise ConfigError(f"corpus {name!r} {exc}") from exc
 
-    defs = [d for d in object_list(doc, "corpora", "corpus config", definition) if d is not None]
-    if problems:
-        raise ConfigError("; ".join(problems))
-    return defs
+    return object_list(doc, "corpora", "corpus config", definition)
 
 
 def load_corpus_config(path) -> list[CorpusDefinition]:

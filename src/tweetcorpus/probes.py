@@ -3,12 +3,14 @@
 A probe is a real tweet posted into the source that is constructed to
 match one corpus and to carry a unique marker token, both in the text
 and as a hashtag.  Probes ride the full delivery path and land in the
-store flagged as probes; comparing created against stored markers gives
+store flagged as probes; comparing created against stored probes gives
 the completeness estimate, and the per-interval breakdown shows when
 the losses happened.
 
-Identification is by marker only.  Position, ordering, and the volume
-of unrelated traffic never enter the computation.
+Identification is by carrier id: the id the source assigned at posting,
+which the probe log records, counts as stored when the store's index
+holds it as a probe row of the corpus.  Position, ordering, and the
+volume of unrelated traffic never enter the computation.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .corpus import (
     matches,
 )
 from .errors import AnalysisError, ConfigError
-from .tweets import TweetRecord, extract_entities, format_timestamp, json_line, parse_timestamp, read_ndjson
+from .tweets import TweetRecord, extract_entities, format_timestamp, json_field, json_line, read_ndjson
 
 # the designated measurement account; for account-list corpora it must be
 # on the observed list for its probes to match
@@ -161,15 +163,12 @@ def compute_completeness(store, probes, window: TimeWindow) -> CompletenessRepor
             "(not 0 and not 1)"
         )
     corpus = in_window[0].corpus
-    found = set()
-    for row in store.scan(corpus, include_probes=True):
-        if row.is_probe:
-            found.update(h.text for h in row.tweet.hashtags)
+    found = store.ids(corpus, probes=True)
     intervals = []
     stored_total = 0
     for i, p in enumerate(in_window):
         end = in_window[i + 1].injected_at if i + 1 < len(in_window) else window.end
-        hit = 1 if p.marker in found else 0
+        hit = 1 if p.carrier_id in found else 0
         stored_total += hit
         intervals.append(IntervalOutcome(start=p.injected_at, end=end, created=1, stored=hit))
     return CompletenessReport(
@@ -221,11 +220,11 @@ def write_probe_log(probes, path) -> Path:
 
 def _probe_record(obj) -> ProbeRecord:
     return ProbeRecord(
-        probe_id=int(obj["probeId"]),
-        corpus=obj["corpus"],
-        injected_at=parse_timestamp(obj["injectedAt"]),
-        carrier_id=int(obj["carrierId"]),
-        marker=obj["marker"],
+        probe_id=json_field(obj, "probeId", int),
+        corpus=json_field(obj, "corpus", str),
+        injected_at=json_field(obj, "injectedAt", datetime),
+        carrier_id=json_field(obj, "carrierId", int),
+        marker=json_field(obj, "marker", str),
     )
 
 

@@ -173,7 +173,7 @@ def _sidecar_path(csv_path) -> Path:
     return Path(csv_path).with_suffix(".evidence.json")
 
 
-def _link_from_parts(candidate_id, platform, user_id_cell, screen_name_cell, sidecar):
+def _link_from_parts(candidate_id, platform, user_id_cell, screen_name_cell, sidecar, sidecar_file):
     if not user_id_cell and not screen_name_cell:
         return None
     if not user_id_cell or not screen_name_cell:
@@ -181,7 +181,7 @@ def _link_from_parts(candidate_id, platform, user_id_cell, screen_name_cell, sid
     user_id = int(user_id_cell)
     entry = json_field(sidecar, candidate_id, dict, {})
     if platform not in entry:
-        raise ConfigError(f"candidate {candidate_id}: {platform} account has no evidence record")
+        raise ConfigError(f"candidate {candidate_id}: {platform} account has no evidence record in {sidecar_file}")
     return json_value(entry[platform], lambda record: VerifiedLink(
         user_id=user_id,
         screen_name=screen_name_cell,
@@ -189,7 +189,7 @@ def _link_from_parts(candidate_id, platform, user_id_cell, screen_name_cell, sid
         platform_verified_badge=json_field(record, "badge", bool, False),
         is_professional=json_field(record, "professional", bool, False),
         decided_at=json_field(record, "decidedAt", datetime),
-    ), f"candidate {candidate_id} {platform} evidence record")
+    ), f"candidate {candidate_id} {platform} evidence record in {sidecar_file}")
 
 
 def load_roster(path) -> Roster:
@@ -215,10 +215,12 @@ def load_roster(path) -> Roster:
                         constituency=int(row["constituency"]) if row["constituency"] else None,
                         state=row["state"],
                         twitter=_link_from_parts(
-                            row["candidate_id"], "twitter", row["twitter_user_id"], row["twitter_screen_name"], sidecar
+                            row["candidate_id"], "twitter", row["twitter_user_id"], row["twitter_screen_name"],
+                            sidecar, sidecar_file,
                         ),
                         facebook=_link_from_parts(
-                            row["candidate_id"], "facebook", row["facebook_user_id"], row["facebook_screen_name"], sidecar
+                            row["candidate_id"], "facebook", row["facebook_user_id"], row["facebook_screen_name"],
+                            sidecar, sidecar_file,
                         ),
                     )
                 )

@@ -626,19 +626,27 @@ def config_to_obj(config: ScenarioConfig) -> dict:
     }
 
 
-def config_from_obj(obj: dict) -> ScenarioConfig:
+def config_from_obj(obj) -> ScenarioConfig:
     """Inverse of ``config_to_obj``; an absent key keeps its ScenarioConfig default."""
-    d = ScenarioConfig(seed=json_field(json_value(obj, dict, "scenario config"), "seed", int))
-    faults, emergent = json_field(obj, "faults", dict, {}), json_field(obj, "emergent", dict, {})
-    windows = json_field(faults, "disconnectWindows", [(int, int)], ())
+    return json_value(obj, _scenario_config, "scenario config")
+
+
+def _scenario_config(obj) -> ScenarioConfig:
+    d = ScenarioConfig(seed=json_field(obj, "seed", int))
+
+    def faults(f) -> FaultSchedule:
+        windows = json_field(f, "disconnectWindows", [(int, int)], ())
+        return replace(d.faults, **_numbers_from_obj(f, _FAULT_KEYS, d.faults),
+                       disconnect_windows=tuple(DisconnectWindow(a, b) for a, b in windows))
+
     return replace(
         d, **_numbers_from_obj(obj, _CONFIG_KEYS, d),
         start=json_field(obj, "start", datetime, d.start),
         hashtag_propensities=json_field(obj, "hashtagPropensities", [(str, float)], d.hashtag_propensities),
         language_mix=json_field(obj, "languageMix", [(str, float)], d.language_mix),
-        faults=replace(d.faults, **_numbers_from_obj(faults, _FAULT_KEYS, d.faults),
-                       disconnect_windows=tuple(DisconnectWindow(a, b) for a, b in windows)),
-        emergent=replace(d.emergent, **_numbers_from_obj(emergent, _EMERGENT_KEYS, d.emergent)),
+        faults=json_field(obj, "faults", faults, d.faults),
+        emergent=json_field(obj, "emergent", lambda e: replace(
+            d.emergent, **_numbers_from_obj(e, _EMERGENT_KEYS, d.emergent)), d.emergent),
     )
 
 
@@ -671,9 +679,17 @@ def _account(obj) -> SimAccount:
                       party=obj.get("party"), display_name=obj.get("displayName"))
 
 
+def _world_config(meta) -> ScenarioConfig:
+    config = json_field(meta, "config", config_from_obj)
+    if (json_field(meta, "end", datetime), json_field(meta, "emergenceTime", datetime)) != (
+            config.end, config.emergence_time):
+        raise ConfigError("fields 'end' and 'emergenceTime' do not follow from field 'config'")
+    return config
+
+
 def load_world(world_dir) -> Scenario:
     world = Path(world_dir)
-    config = load_json_config(world / "scenario.json", lambda meta: json_field(meta, "config", config_from_obj))
+    config = load_json_config(world / "scenario.json", _world_config)
     accounts = tuple(read_ndjson(world / "accounts.ndjson", _account))
     graph = load_follow_graph(world / "follows.tsv", world / "groups.json")
     timeline = tuple(read_ndjson(world / "timeline.ndjson", tweet_from_dict))

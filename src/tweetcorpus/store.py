@@ -2,10 +2,10 @@
 
 Layout: one line file (``tweets.read_ndjson``) per corpus under the store
 root.  Each line is the canonical tweet object plus an envelope
-(``corpus``, ``storedAt``, ``isProbe``).  Appends are idempotent on
-(corpus, tweet id) within one process: the index (tweet id -> probe flag)
-is built at open and kept in memory, so one process writes a store at a
-time -- two concurrent ``collect run``s on one store can duplicate rows.
+(``corpus``, ``storedAt``, ``isProbe``).  The in-memory index (tweet id
+-> probe flag), built at open, is the ledger of what a corpus holds: append
+dedupe (per process, so two concurrent ``collect run``s on one store can
+duplicate rows), ``count``, ``ids`` and the probe filter of ``scan``.
 Scans yield a stable total order by (created_at, id).
 
 A crash can cut the last append short.  On open, a final line without a
@@ -42,9 +42,7 @@ EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 @dataclass(frozen=True)
 class StoredTweet:
     tweet: TweetRecord
-    corpus: str
     stored_at: datetime
-    is_probe: bool
 
 
 @dataclass(frozen=True)
@@ -55,16 +53,15 @@ class RehydrationResult:
 
 
 def _index_entry(obj) -> tuple[int, bool]:
-    return int(obj["_id"]), bool(obj.get("isProbe", False))
+    """A row's ledger entry: ``_id`` a JSON integer, ``isProbe`` a JSON bool (absent is false)."""
+    tweet_id, is_probe = obj["_id"], obj.get("isProbe", False)
+    if type(tweet_id) is not int or type(is_probe) is not bool:
+        raise ValueError(f"'_id' must be an integer and 'isProbe' true or false, got {tweet_id!r} and {is_probe!r}")
+    return tweet_id, is_probe
 
 
 def _stored_tweet(obj) -> StoredTweet:
-    return StoredTweet(
-        tweet=tweet_from_dict(obj),
-        corpus=obj["corpus"],
-        stored_at=parse_timestamp(obj["storedAt"]),
-        is_probe=bool(obj.get("isProbe", False)),
-    )
+    return StoredTweet(tweet=tweet_from_dict(obj), stored_at=parse_timestamp(obj["storedAt"]))
 
 
 def _cut_tail(path: Path, offset: int) -> int:
@@ -183,7 +180,8 @@ class CorpusStore:
         """Point-in-time snapshot, ordered by (created_at, id)."""
         rows = self._read_all(corpus)
         if not include_probes:
-            rows = [r for r in rows if not r.is_probe]
+            probes = self.ids(corpus, probes=True)
+            rows = [r for r in rows if r.tweet.id not in probes]
         rows.sort(key=lambda r: (_as_utc(r.tweet.created_at), r.tweet.id))
         return rows
 
@@ -193,6 +191,12 @@ class CorpusStore:
             self._require(corpus)
             flags = self._index[corpus].values()
             return len(flags) if include_probes else len(flags) - sum(flags)
+
+    def ids(self, corpus: str, probes: bool = False) -> frozenset[int]:
+        """Ids of ``corpus``'s probe rows, or of its other rows, from the index without decoding."""
+        with self._lock:
+            self._require(corpus)
+            return frozenset(i for i, is_probe in self._index[corpus].items() if is_probe == probes)
 
 
 # -- derived corpora ---------------------------------------------------------

@@ -16,7 +16,9 @@ line that does not decode.  JSON documents (configs, the world's
 ``load_json_config``, which names the file in its ``ConfigError``.  Their
 values are read by ``json_field`` and ``json_value``, and a document's list
 of entries by ``object_list``: a value of the wrong kind is never coerced,
-it is a ``ConfigError`` that names the entry and the key.
+it is a ``ConfigError`` that names the entry and the key.  An object built
+by a builder function may hold only the keys that builder reads, so a
+misspelt key is refused instead of leaving its default in force.
 
 Entity offset convention: ``start`` indexes the marker character
 ('#' or '@'), ``end`` is exclusive, the entity text excludes the marker,
@@ -357,11 +359,20 @@ def load_json_config(path, build=dict):
 def object_list(doc, key: str, what: str, entry) -> list:
     """``entry(obj)`` for each JSON object in the list that the ``what``
     document ``doc`` holds under ``key``; otherwise a ConfigError naming the
-    key, or the entry as ``what key[i]``."""
+    key, or the entry as ``what key[i]``; the problems of every entry are
+    reported together."""
     items = doc.get(key) if isinstance(doc, dict) else None
     if type(items) is not list:
         raise ConfigError(f"{what} must be an object with a '{key}' list")
-    return [json_value(item, entry, f"{what} {key}[{i}]") for i, item in enumerate(items)]
+    built, problems = [], []
+    for i, item in enumerate(items):
+        try:
+            built.append(json_value(item, entry, f"{what} {key}[{i}]"))
+        except ConfigError as exc:
+            problems.append(str(exc))
+    if problems:
+        raise ConfigError("; ".join(problems))
+    return built
 
 
 # -- config values ---------------------------------------------------------------
@@ -372,6 +383,26 @@ _KIND_NAMES = {
     str: "a string", int: "an integer", float: "a number", bool: "true or false",
     dict: "a JSON object", datetime: "a timestamp with a UTC offset",
 }
+
+
+class _Fields(dict):
+    """A JSON object that records which keys its builder looked up."""
+
+    def __init__(self, obj):
+        super().__init__(obj)
+        self.read = set()
+
+    def __contains__(self, key):
+        self.read.add(key)
+        return super().__contains__(key)
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
 
 
 def _kind_name(kind) -> str:
@@ -386,7 +417,8 @@ def json_value(value, kind, name: str):
     ``kind`` is a type: ``str``, ``int``, ``bool``, ``dict``, ``float`` (an
     integer comes back as a float) or ``datetime`` (ISO-8601 with a UTC
     offset); ``[k]``, a list of ``k``, or ``(k1, k2)``, a list of that shape,
-    both read as tuples; or a function that builds a value from a JSON object.
+    both read as tuples; or a function that builds a value from a JSON object,
+    which must look up every key the object holds.
     """
     if isinstance(kind, tuple):
         if type(value) is list and len(value) == len(kind):
@@ -395,12 +427,15 @@ def json_value(value, kind, name: str):
         if type(value) is list:
             return tuple(json_value(v, kind[0], f"{name}[{i}]") for i, v in enumerate(value))
     elif kind not in _KIND_NAMES:
-        obj = json_value(value, dict, name)
+        obj = value if type(value) is _Fields else _Fields(json_value(value, dict, name))
         try:
-            return kind(obj)
+            built = kind(obj)
         except DECODE_ERRORS as exc:
             reason = exc if isinstance(exc, ConfigError) else f"{type(exc).__name__}: {exc}"
             raise ConfigError(f"{name}: {reason}") from exc
+        if unread := obj.keys() - obj.read:
+            raise ConfigError(f"{name}: unknown field {', '.join(map(repr, sorted(unread)))}")
+        return built
     elif kind is datetime:
         with contextlib.suppress(ParseError):
             if (stamp := parse_timestamp(value)).tzinfo is not None:

@@ -17,7 +17,7 @@ from tweetcorpus.sim import (
     write_world,
 )
 from tweetcorpus.store import CorpusStore
-from tweetcorpus.tweets import format_timestamp, parse_tweet
+from tweetcorpus.tweets import format_timestamp, json_line, parse_tweet
 
 
 WINDOW = {"start": "2013-09-01T00:00:00Z", "end": "2013-09-02T00:00:00Z"}
@@ -362,25 +362,35 @@ class TestExitCodes:
         assert event["bytesCut"] + 1 == (tmp_path / "store" / "c.ndjson.torn").stat().st_size
 
     def test_corrupt_store_line_is_4_and_named(self, env, tmp_path, capsys):
-        path = self.three_row_store(env, tmp_path / "store")
-        lines = path.read_bytes().splitlines(keepends=True)
-        path.write_bytes(lines[0] + b"{broken\n" + lines[2])
-        code, _, err = run_cli(capsys, "store", "scan", "--store", tmp_path / "store", "--corpus", "c")
-        assert code == 4
-        last = json.loads(err.strip().splitlines()[-1])
-        assert last["category"] == "store" and "c.ndjson:2" in last["message"]
-        assert not (tmp_path / "store" / "c.ndjson.torn").exists()
+        # the middle row not JSON, or with an index field of the wrong JSON type
+        for i, middle in enumerate([b"{broken", {"isProbe": "false"}, {"_id": "5"}]):
+            store = tmp_path / f"store{i}"
+            path = self.three_row_store(env, store)
+            lines = path.read_bytes().splitlines(keepends=True)
+            if isinstance(middle, dict):
+                middle = json_line({**json.loads(lines[1]), **middle}).encode("utf-8")
+            path.write_bytes(lines[0] + middle + b"\n" + lines[2])
+            code, _, err = run_cli(capsys, "store", "scan", "--store", store, "--corpus", "c")
+            assert code == 4
+            last = json.loads(err.strip().splitlines()[-1])
+            assert last["category"] == "store" and "c.ndjson:2" in last["message"]
+            assert not (store / "c.ndjson.torn").exists()
 
     def test_broken_probe_log_line_is_2_and_named(self, env, tmp_path, capsys):
-        log = write_probe_log([ProbeRecord(probe_id=0, corpus="tag", injected_at=env["scenario"].start,
-                                           carrier_id=1, marker="probe_tag_0000")], tmp_path / "probes-tag.ndjson")
-        with open(log, "a", encoding="utf-8") as fh:
-            fh.write('{"probeId": 1, "corpus": "tag"\n')
-        code, _, err = run_cli(capsys, "probe", "report", "--store", tmp_path / "store",
-                               "--probe-log", log, "--corpora", env["corpora"])
-        assert code == 2
-        last = json.loads(err.strip().splitlines()[-1])
-        assert last["category"] == "config" and f"{log}:2:" in last["message"]
+        good = {"probeId": 1, "corpus": "tag", "injectedAt": "2013-09-01T00:10:00Z", "carrierId": 5,
+                "marker": "probe_tag_0001"}
+        # a torn line, then lines whose values are of the wrong kind (never coerced)
+        for second in ('{"probeId": 1, "corpus": "tag"', json_line(dict(good, probeId=2.7)),
+                       json_line(dict(good, carrierId="5")), json_line(dict(good, injectedAt="2013-09-01T00:10:00"))):
+            log = write_probe_log([ProbeRecord(probe_id=0, corpus="tag", injected_at=env["scenario"].start,
+                                               carrier_id=1, marker="probe_tag_0000")], tmp_path / "probes-tag.ndjson")
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(second + "\n")
+            code, _, err = run_cli(capsys, "probe", "report", "--store", tmp_path / "store",
+                                   "--probe-log", log, "--corpora", env["corpora"])
+            assert code == 2
+            last = json.loads(err.strip().splitlines()[-1])
+            assert last["category"] == "config" and f"{log}:2:" in last["message"]
 
     def test_broken_roster_evidence_is_2_and_named(self, env, tmp_path, capsys):
         roster_path = tmp_path / "roster.csv"
@@ -434,6 +444,13 @@ class TestExitCodes:
         ("--amendments", {"amendments": [dict(AMENDMENT, at="2013-09-01T00:00:00")]}, "'at'"),
         ("--at", {"amendments": []}, "--at"),
         ("--roster", {"K000": {"twitter": dict(EVIDENCE, decidedAt="2013-06-01T00:00:00")}}, "'decidedAt'"),
+        # a key no builder reads is refused, not ignored (a misspelt key would keep its default)
+        ("--corpora", {"corpora": [dict(TAG_CORPUS, strategy={"kind": "accounts", "matchMention": False,
+                                                              "accounts": [{"id": 1, "screenName": "a"}]})]},
+         "'matchMention'"),
+        ("--probes", {"probes": [{"corpus": "tag", "count": 3, "intervalSecond": 60}]}, "'intervalSecond'"),
+        ("--amendments", {"amendments": [dict(AMENDMENT, backfil=False)]}, "'backfil'"),
+        ("--config", {"seed": 1, "nTweet": 10}, "'nTweet'"),
     ])
     def test_malformed_config_list_is_2_and_named(self, env, tmp_path, capsys, option, doc, named):
         path = tmp_path / "config.json"
@@ -453,11 +470,13 @@ class TestExitCodes:
             "--at": amend + ("--at", "2013-09-01T00:00:00"),
             "--roster": ("roster", "load", "--roster", tmp_path / "roster.csv"),
             "--groups": ("authorities", "--graph", env["world"] / "follows.tsv", "--groups", path),
+            "--config": ("sim", "build", "--config", path, "--out", tmp_path / "world"),
         }[option]
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         last = json.loads(err.strip().splitlines()[-1])
         assert last["category"] == "config" and named in last["message"]
+        assert option != "--roster" or str(path) in last["message"]
         assert json.loads(path.read_text(encoding="utf-8")) == doc
         assert not (tmp_path / "m.json").exists()
 

@@ -556,6 +556,17 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="firehose"):
             load_corpus_config(self.write(tmp_path, doc))
 
+    @pytest.mark.parametrize("index, key, value", [
+        (0, "matchMention", False),  # misspelt: matchMentions would stay on
+        (0, "hashtags", ["x"]),  # a keyword key in an account strategy
+        (2, "terms", ["x"]),
+    ])
+    def test_strategy_key_of_another_kind_is_refused(self, tmp_path, index, key, value):
+        doc = json.loads(json.dumps(self.GOOD))
+        doc["corpora"][index]["strategy"][key] = value
+        with pytest.raises(ConfigError, match=f"strategy': unknown field '{key}'"):
+            load_corpus_config(self.write(tmp_path, doc))
+
     def test_multiple_problems_all_reported(self, tmp_path):
         doc = json.loads(json.dumps(self.GOOD))
         doc["corpora"][0]["strategy"]["accounts"] = []

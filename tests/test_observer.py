@@ -492,7 +492,7 @@ class TestProbesThroughObserver:
                 text=f"messung {i:02d} #wahl2013", hashtags=hashtags, mentions=mentions)))
         with CorpusStore(tmp_path / "store") as store:
             finish(run_observer(d, src, store))
-            flagged = {r.tweet.id for r in store.scan(d.name, include_probes=True) if r.is_probe}
+            flagged = store.ids(d.name, probes=True)
             visible = {r.tweet.id for r in store.scan(d.name)}
         assert flagged == {p.id for p in probes}
         assert flagged & visible == set()

@@ -1,5 +1,6 @@
 """Probe injection and completeness estimation."""
 
+from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -184,6 +185,23 @@ class TestCompleteness:
             report = compute_completeness(store, mine, TimeWindow(s.start, s.end))
         assert {p.marker for p in mine} & {p.marker for p in others} == set()
         assert (report.created, report.stored) == (5, 5)
+
+    def test_a_probe_counts_by_its_carrier_id_as_a_probe_row(self, tmp_path):
+        s = world()
+        d = keyword_def(s)
+        src = open_source(s)
+        probes = inject_probes(d, src, count=3)
+        carriers = {t.id: t for t in src.fetch_tweets([p.carrier_id for p in probes])}
+        with CorpusStore(tmp_path / "store") as store:
+            store.ensure_corpus(d.name)
+            first, second, _ = probes
+            # the marker text plays no part: a stored carrier counts even with its text replaced
+            store.append(replace(carriers[first.carrier_id], text="kontrolle", hashtags=()), d.name,
+                         is_probe=True, stored_at=s.start)
+            # a carrier stored as an ordinary row is not a stored probe
+            store.append(carriers[second.carrier_id], d.name, stored_at=s.start)
+            report = compute_completeness(store, probes, TimeWindow(s.start, s.end))
+        assert [iv.stored for iv in report.intervals] == [1, 0, 0]
 
     def test_no_probes_in_window_is_an_error(self, tmp_path):
         s = world()

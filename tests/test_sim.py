@@ -434,6 +434,17 @@ class TestWorldFiles:
         with pytest.raises(ConfigError, match="scenario.json"):
             load_world(world)
 
+    @pytest.mark.parametrize("change, named", [
+        ({"note": "x"}, "'note'"),
+        ({"end": "2030-01-01T00:00:00Z"}, "'end'"),
+    ])
+    def test_scenario_file_holds_only_what_follows_from_its_config(self, tmp_path, change, named):
+        world = write_world(build_scenario(mini()), tmp_path / "world")
+        meta = json.loads((world / "scenario.json").read_text(encoding="utf-8"))
+        (world / "scenario.json").write_text(json.dumps({**meta, **change}), encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"scenario.json.*{named}"):
+            load_world(world)
+
     def test_bad_timeline_line_names_path_and_line(self, tmp_path):
         world = write_world(build_scenario(mini()), tmp_path / "world")
         lines = (world / "timeline.ndjson").read_text(encoding="utf-8").splitlines(keepends=True)
@@ -458,4 +469,13 @@ class TestConfigObj:
     @pytest.mark.parametrize("obj", [None, [], {}, {"seed": 1, "nTweets": "many"}, {"seed": 1, "faults": []}])
     def test_malformed_config_is_config_error(self, obj):
         with pytest.raises(ConfigError):
+            config_from_obj(obj)
+
+    @pytest.mark.parametrize("obj, key", [
+        ({"seed": 1, "nTweet": 10}, "unknown field 'nTweet'"),
+        ({"seed": 1, "faults": {"dropRates": 0.1}}, "'faults': unknown field 'dropRates'"),
+        ({"seed": 1, "emergent": {"accounts": 3}}, "'emergent': unknown field 'accounts'"),
+    ])
+    def test_unknown_key_is_refused_and_named(self, obj, key):
+        with pytest.raises(ConfigError, match=key):
             config_from_obj(obj)

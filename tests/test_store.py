@@ -180,6 +180,16 @@ class TestCount:
             with pytest.raises(UnknownCorpusError):
                 s2.count("nope")
 
+    def test_ids_answer_from_the_index(self, tmp_path):
+        with CorpusStore(tmp_path) as s:
+            for i in range(6):
+                s.append(make_tweet(i), "c", is_probe=(i % 3 == 0), stored_at=BASE)
+        with CorpusStore(tmp_path) as s2:
+            assert s2.ids("c") == {1, 2, 4, 5}
+            assert s2.ids("c", probes=True) == {0, 3}
+            with pytest.raises(UnknownCorpusError):
+                s2.ids("nope")
+
 
 class TestTornTail:
     """A crash can cut the last append short; only the final line may be torn."""

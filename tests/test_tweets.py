@@ -288,3 +288,16 @@ class TestConfigValues:
             object_list({"xs": [{"n": 1}, {"n": 2, "tags": [5]}]}, "xs", "doc", entry)
         with pytest.raises(ConfigError, match=r"^doc xs\[0\]: KeyError"):
             object_list({"xs": [{}]}, "xs", "doc", lambda obj: obj["n"])
+
+    def test_a_builder_refuses_keys_it_does_not_read(self):
+        def entry(obj):
+            return json_field(obj, "n", int), json_field(obj, "tags", [str], ())
+        with pytest.raises(ConfigError, match=r"^doc xs\[0\]: unknown field 'tag', 'x'$"):
+            object_list({"xs": [{"n": 1, "tag": ["a"], "x": 0}]}, "xs", "doc", entry)
+        with pytest.raises(ConfigError, match=r"^outer: field 'inner': unknown field 'm'$"):
+            json_value({"inner": {"n": 1, "m": 2}}, lambda obj: json_field(obj, "inner", entry), "outer")
+        assert json_value({"n": 1}, lambda obj: obj.get("n"), "doc") == 1
+
+    def test_every_entry_problem_is_reported(self):
+        with pytest.raises(ConfigError, match=r"^doc xs\[0\]: .*'n' is missing; doc xs\[2\]: .*'n' must be"):
+            object_list({"xs": [{}, {"n": 1}, {"n": "2"}]}, "xs", "doc", lambda obj: json_field(obj, "n", int))
