@@ -13,14 +13,13 @@ count with a per-wall breakdown.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from datetime import datetime
 from fractions import Fraction
 from pathlib import Path
 
 from .errors import AnalysisError, ConfigError
-from .tweets import json_field, load_json_config
+from .tweets import int_cell, json_field, load_json_config, write_json
 
 RULES = ("gatekeepers", "journalists", "editors")
 
@@ -229,7 +228,7 @@ def write_follow_graph(graph: FollowGraph, edges_path, groups_path):
         "journalists": sorted(graph.journalists),
         "editors": sorted(graph.editors),
     }
-    Path(groups_path).write_text(json.dumps(groups, indent=1) + "\n", encoding="utf-8")
+    write_json(groups_path, groups)
 
 
 def load_follow_graph(edges_path, groups_path) -> FollowGraph:
@@ -237,10 +236,11 @@ def load_follow_graph(edges_path, groups_path) -> FollowGraph:
     for lineno, line in enumerate(Path(edges_path).read_text(encoding="utf-8").splitlines(), start=1):
         if not line.strip():
             continue
-        parts = line.split("\t")
-        if len(parts) != 2 or not all(p.isdecimal() for p in parts):
-            raise ConfigError(f"{edges_path}:{lineno}: expected follower<TAB>followed ids, got {line!r}")
-        edges.add((int(parts[0]), int(parts[1])))
+        try:
+            follower, followed = map(int_cell, line.split("\t"))
+        except ValueError as exc:
+            raise ConfigError(f"{edges_path}:{lineno}: expected follower<TAB>followed ids, got {line!r}") from exc
+        edges.add((follower, followed))
     return load_json_config(groups_path, lambda groups: FollowGraph(
         edges=frozenset(edges),
         gatekeepers=json_field(groups, "gatekeepers", [int]),

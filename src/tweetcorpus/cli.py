@@ -9,7 +9,6 @@ failure family (0 ok, 2 config, 3 source, 4 store, 5 analysis).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 from datetime import datetime
@@ -58,15 +57,15 @@ from .sim import (
     write_world,
 )
 from .store import CorpusStore, dehydrate, privacy_filter, rehydrate
-from .tweets import json_field, json_value, object_list, serialize_tweet
+from .tweets import int_cell, json_document, json_field, json_line, json_value, object_list, serialize_tweet, write_json
 
 
 def _log(event: str, **extra):
-    print(json.dumps({"event": event, **extra}, sort_keys=True), file=sys.stderr)
+    print(json_line({"event": event, **extra}), file=sys.stderr)
 
 
 def _emit(doc):
-    print(json.dumps(doc, indent=1, sort_keys=True))
+    sys.stdout.write(json_document(doc))
 
 
 def _open_store(root) -> CorpusStore:
@@ -79,9 +78,12 @@ def _open_store(root) -> CorpusStore:
 
 def _parse_account(text: str) -> tuple[int, str]:
     user_id, sep, screen_name = text.partition(":")
-    if not user_id.isdecimal() or not sep or not screen_name:
-        raise ConfigError(f"account must be 'userId:screenName' with an integer id, got {text!r}")
-    return int(user_id), screen_name
+    try:
+        if sep and screen_name:
+            return int_cell(user_id), screen_name
+    except ValueError:
+        pass
+    raise ConfigError(f"--account must be 'userId:screenName' with an id of ASCII digits, got {text!r}")
 
 
 # -- sim -----------------------------------------------------------------------
@@ -109,7 +111,7 @@ def cmd_sim_export(args):
         "groundTruth": {d.name: sorted(ground_truth(scenario, d)) for d in defs},
     }
     if args.out is not None:
-        args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+        write_json(args.out, doc)
         _log("referencesWritten", path=str(args.out), corpora=sorted(doc["groundTruth"]))
     else:
         _emit(doc)

@@ -9,7 +9,6 @@ so a crashed collection is still accountable.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -20,7 +19,7 @@ from .errors import ConfigError
 from .observer import AmendmentEvent, AmendmentPlan, ObserverInstance, run_observer
 from .probes import DEFAULT_INTERVAL, CompletenessReport, compute_completeness, inject_probes, report_json, write_probe_log
 from .sim import Scenario, open_source
-from .tweets import format_timestamp, json_field, json_value, load_json_config, object_list
+from .tweets import format_timestamp, json_field, json_value, load_json_config, object_list, write_json
 
 
 @dataclass(frozen=True)
@@ -126,11 +125,8 @@ def manifest_json(m: RunManifest) -> dict:
     }
 
 
-def write_manifest(m: RunManifest, path) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(manifest_json(m), indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    return path
+def write_manifest(m: RunManifest, path):
+    write_json(path, manifest_json(m))
 
 
 def manifest_table(doc: dict) -> str:
@@ -196,8 +192,7 @@ def append_amendment(path, sa: ScheduledAmendment) -> int:
     doc = load_json_config(path) if path.exists() else {"amendments": []}
     json_value(doc, amendments_from_obj, str(path))  # reject malformed files before touching them
     doc["amendments"].append(_amendment_entry(sa))
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(path, doc)
     return len(doc["amendments"])
 
 

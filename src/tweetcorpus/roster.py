@@ -17,14 +17,13 @@ the professional flag.
 from __future__ import annotations
 
 import csv
-import json
 import random
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 from .errors import ConfigError
-from .tweets import format_timestamp, json_field, json_value, load_json_config
+from .tweets import format_timestamp, int_cell, json_field, json_value, load_json_config, write_json
 
 EVIDENCE_KINDS = frozenset({"party_reference", "website_link", "image_or_constituency_match"})
 CANDIDATURES = ("direct", "list", "both")
@@ -178,7 +177,7 @@ def _link_from_parts(candidate_id, platform, user_id_cell, screen_name_cell, sid
         return None
     if not user_id_cell or not screen_name_cell:
         raise ConfigError(f"candidate {candidate_id}: {platform} account needs both id and screen name")
-    user_id = int(user_id_cell)
+    user_id = int_cell(user_id_cell)
     entry = json_field(sidecar, candidate_id, dict, {})
     if platform not in entry:
         raise ConfigError(f"candidate {candidate_id}: {platform} account has no evidence record in {sidecar_file}")
@@ -212,7 +211,7 @@ def load_roster(path) -> Roster:
                         name=row["name"],
                         party=row["party"],
                         candidature=row["candidature"],
-                        constituency=int(row["constituency"]) if row["constituency"] else None,
+                        constituency=int_cell(row["constituency"]) if row["constituency"] else None,
                         state=row["state"],
                         twitter=_link_from_parts(
                             row["candidate_id"], "twitter", row["twitter_user_id"], row["twitter_screen_name"],
@@ -270,9 +269,7 @@ def export_candidates(candidates, path) -> int:
             if entries:
                 sidecar[c.candidate_id] = entries
             n += 1
-    _sidecar_path(path).write_text(
-        json.dumps(sidecar, ensure_ascii=False, indent=1, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(_sidecar_path(path), sidecar)
     return n
 
 

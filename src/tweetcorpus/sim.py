@@ -18,7 +18,6 @@ given.  Faults shape delivery only; the ground truth never sees them.
 from __future__ import annotations
 
 import bisect
-import json
 import math
 import random
 from collections import defaultdict, deque
@@ -47,6 +46,7 @@ from .tweets import (
     read_ndjson,
     serialize_tweet,
     tweet_from_dict,
+    write_json,
 )
 
 WORDS = (
@@ -659,9 +659,7 @@ def write_world(scenario: Scenario, world_dir) -> Path:
         "end": format_timestamp(scenario.end),
         "emergenceTime": format_timestamp(scenario.emergence_time),
     }
-    (world / "scenario.json").write_text(
-        json.dumps(meta, ensure_ascii=False, indent=1, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(world / "scenario.json", meta)
     with open(world / "accounts.ndjson", "w", encoding="utf-8") as fh:
         for a in scenario.accounts:
             obj = {"userId": a.user_id, "screenName": a.screen_name, "kind": a.kind,
@@ -675,8 +673,14 @@ def write_world(scenario: Scenario, world_dir) -> Path:
 
 
 def _account(obj) -> SimAccount:
-    return SimAccount(user_id=obj["userId"], screen_name=obj["screenName"], kind=obj["kind"],
-                      party=obj.get("party"), display_name=obj.get("displayName"))
+    party, display_name = obj.get("party"), obj.get("displayName")
+    return SimAccount(
+        user_id=json_field(obj, "userId", int),
+        screen_name=json_field(obj, "screenName", str),
+        kind=json_field(obj, "kind", str),
+        party=None if party is None else json_field(obj, "party", str),
+        display_name=None if display_name is None else json_field(obj, "displayName", str),
+    )
 
 
 def _world_config(meta) -> ScenarioConfig:
@@ -690,7 +694,7 @@ def _world_config(meta) -> ScenarioConfig:
 def load_world(world_dir) -> Scenario:
     world = Path(world_dir)
     config = load_json_config(world / "scenario.json", _world_config)
-    accounts = tuple(read_ndjson(world / "accounts.ndjson", _account))
+    accounts = tuple(read_ndjson(world / "accounts.ndjson", lambda obj: json_value(obj, _account, "account")))
     graph = load_follow_graph(world / "follows.tsv", world / "groups.json")
     timeline = tuple(read_ndjson(world / "timeline.ndjson", tweet_from_dict))
     return Scenario(config=config, accounts=accounts, graph=graph, timeline=timeline)

@@ -31,7 +31,16 @@ from pathlib import Path
 
 from .corpus import _as_utc
 from .errors import ParseError, StoreError, UnknownCorpusError
-from .tweets import TweetRecord, format_timestamp, json_line, parse_timestamp, read_ndjson, tweet_from_dict, tweet_to_dict
+from .tweets import (
+    TweetRecord,
+    format_timestamp,
+    int_cell,
+    json_line,
+    parse_timestamp,
+    read_ndjson,
+    tweet_from_dict,
+    tweet_to_dict,
+)
 
 _CORPUS_NAME_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*$")
 _HEADER_RE = re.compile(r"# corpus:(?P<name>\S+) generated:(?P<ts>\S+)$")
@@ -185,12 +194,11 @@ class CorpusStore:
         rows.sort(key=lambda r: (_as_utc(r.tweet.created_at), r.tweet.id))
         return rows
 
-    def count(self, corpus: str, include_probes: bool = True) -> int:
-        """Rows in ``corpus``, answered from the index without decoding."""
+    def count(self, corpus: str) -> int:
+        """Rows in ``corpus``, probes included, answered from the index without decoding."""
         with self._lock:
             self._require(corpus)
-            flags = self._index[corpus].values()
-            return len(flags) if include_probes else len(flags) - sum(flags)
+            return len(self._index[corpus])
 
     def ids(self, corpus: str, probes: bool = False) -> frozenset[int]:
         """Ids of ``corpus``'s probe rows, or of its other rows, from the index without decoding."""
@@ -256,9 +264,9 @@ def read_dehydrated(path) -> tuple[str, datetime, list[tuple[int, str | None]]]:
         if len(parts) > 2:
             raise ParseError(f"{path}:{lineno}: expected 'id' or 'id<TAB>candidate', got {line!r}")
         try:
-            tweet_id = int(parts[0])
+            tweet_id = int_cell(parts[0])
         except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: tweet id is not an integer: {parts[0]!r}") from exc
+            raise ParseError(f"{path}:{lineno}: tweet id is not ASCII digits: {parts[0]!r}") from exc
         if tweet_id in seen:
             raise ParseError(f"{path}:{lineno}: duplicate tweet id {tweet_id}")
         seen.add(tweet_id)

@@ -5,20 +5,27 @@ The wire format is one JSON object per tweet with the attribute names
 ``hashtags``, ``mentions`` (mandatory) plus optional metadata keys
 (``urls``, ``isRetweet``, ``replyToId``, ``geo``, ``lang``, ``hasImage``).
 
-This module owns the package's JSON file format.  Line files (the world
-timeline and accounts, the store, probe logs and run logs) are
+This module owns the package's JSON file format, both ways; no other
+module imports ``json``.  Line files (the world timeline and accounts, the
+store, probe logs and run logs) and the CLI's stderr events are
 newline-delimited JSON, UTF-8, one object per line, written by
 ``json_line``: compact, with non-ASCII text kept as is.  ``read_ndjson``
 ends a line at ``"\\n"`` only, so U+2028 or U+0085 inside a string is text,
 skips blank lines, and names ``path:line`` in the ``ParseError`` for a
-line that does not decode.  JSON documents (configs, the world's
-``scenario.json``, manifests, evidence sidecars) are read by
+line that does not decode.  JSON documents (manifests, amendment batches,
+the world's ``scenario.json`` and ``groups.json``, evidence sidecars,
+reference exports and the CLI's stdout) are written in one form by
+``json_document`` and ``write_json``: indented by 1, keys sorted, non-ASCII
+text kept, newline-terminated.  Documents, configs among them, are read by
 ``load_json_config``, which names the file in its ``ConfigError``.  Their
 values are read by ``json_field`` and ``json_value``, and a document's list
 of entries by ``object_list``: a value of the wrong kind is never coerced,
 it is a ``ConfigError`` that names the entry and the key.  An object built
 by a builder function may hold only the keys that builder reads, so a
-misspelt key is refused instead of leaving its default in force.
+misspelt key is refused instead of leaving its default in force.  Rows are
+not coerced either: ``tweet_from_dict`` checks each field of a tweet row
+against its JSON kind, world account rows are built through ``json_field``,
+and ``int_cell`` reads an integer in a text cell as ASCII digits only.
 
 Entity offset convention: ``start`` indexes the marker character
 ('#' or '@'), ``end`` is exclusive, the entity text excludes the marker,
@@ -145,43 +152,81 @@ def parse_tweet(raw: str) -> TweetRecord:
     return tweet_from_dict(obj)
 
 
+def _kind_error(key: str, value, kind: str) -> SchemaError:
+    return SchemaError(f"field {key!r} must be {kind}, got {_shown(value)}")
+
+
+def _hashtag(h) -> HashtagEntity:
+    start, end, text = h["start"], h["end"], h["text"]
+    if type(start) is not int or type(end) is not int or type(text) is not str:
+        raise _kind_error("hashtags", h, "objects with integers 'start' and 'end' and a string 'text'")
+    return HashtagEntity(start, end, text)
+
+
+def _mention(m) -> MentionEntity:
+    start, end, user_id, screen_name, name = m["start"], m["end"], m["id"], m["screenName"], m.get("name", "")
+    if (type(start) is not int or type(end) is not int or type(user_id) is not int
+            or type(screen_name) is not str or type(name) is not str):
+        raise _kind_error("mentions", m, "objects with integers 'start', 'end' and 'id' and strings "
+                                         "'screenName' and 'name'")
+    return MentionEntity(start, end, user_id, screen_name, name)
+
+
 def tweet_from_dict(obj: Mapping) -> TweetRecord:
-    """Build a TweetRecord from an already-decoded JSON object."""
+    """Build a TweetRecord from an already-decoded JSON object.
+
+    Each field is read as its JSON kind and never coerced (only a ``geo``
+    integer reads as a float); another kind is a SchemaError naming the
+    field.  A naive ``createdAt`` passes, because ``validate`` flags it.
+    """
     for attr in MANDATORY_ATTRS:
         if attr not in obj:
             raise SchemaError(f"tweet object is missing mandatory attribute {attr!r}")
-    hashtags = tuple(
-        HashtagEntity(start=int(h["start"]), end=int(h["end"]), text=str(h["text"]))
-        for h in obj["hashtags"]
-    )
-    mentions = tuple(
-        MentionEntity(
-            start=int(m["start"]),
-            end=int(m["end"]),
-            user_id=int(m["id"]),
-            screen_name=str(m["screenName"]),
-            display_name=str(m.get("name", "")),
-        )
-        for m in obj["mentions"]
-    )
-    geo = None
-    if obj.get("geo") is not None:
-        g = obj["geo"]
-        geo = (float(g["lat"]), float(g["lon"]), str(g["country"]))
+    tweet_id, user_id, screen_name, text = obj["_id"], obj["userid"], obj["screenName"], obj["tweettext"]
+    hashtags, mentions, urls = obj["hashtags"], obj["mentions"], obj.get("urls", [])
+    is_retweet, has_image = obj.get("isRetweet", False), obj.get("hasImage", False)
+    reply_to_id, language, geo = obj.get("replyToId"), obj.get("lang"), obj.get("geo")
+    if type(tweet_id) is not int:
+        raise _kind_error("_id", tweet_id, "an integer")
+    if type(user_id) is not int:
+        raise _kind_error("userid", user_id, "an integer")
+    if type(screen_name) is not str:
+        raise _kind_error("screenName", screen_name, "a string")
+    if type(text) is not str:
+        raise _kind_error("tweettext", text, "a string")
+    if type(hashtags) is not list:
+        raise _kind_error("hashtags", hashtags, "a list")
+    if type(mentions) is not list:
+        raise _kind_error("mentions", mentions, "a list")
+    if type(urls) is not list or not all(type(u) is str for u in urls):
+        raise _kind_error("urls", urls, "a list of strings")
+    if type(is_retweet) is not bool:
+        raise _kind_error("isRetweet", is_retweet, "true or false")
+    if type(has_image) is not bool:
+        raise _kind_error("hasImage", has_image, "true or false")
+    if reply_to_id is not None and type(reply_to_id) is not int:
+        raise _kind_error("replyToId", reply_to_id, "an integer or null")
+    if language is not None and type(language) is not str:
+        raise _kind_error("lang", language, "a string or null")
+    if geo is not None:
+        lat, lon, country = geo["lat"], geo["lon"], geo["country"]
+        if type(lat) not in (int, float) or type(lon) not in (int, float) or type(country) is not str:
+            raise _kind_error("geo", geo, "null or an object with numbers 'lat' and 'lon' and a string 'country'")
+        geo = (float(lat), float(lon), country)
     return TweetRecord(
-        id=int(obj["_id"]),
-        user_id=int(obj["userid"]),
-        screen_name=str(obj["screenName"]),
+        id=tweet_id,
+        user_id=user_id,
+        screen_name=screen_name,
         created_at=parse_timestamp(obj["createdAt"]),
-        text=str(obj["tweettext"]),
-        hashtags=hashtags,
-        mentions=mentions,
-        urls=tuple(str(u) for u in obj.get("urls", ())),
-        is_retweet=bool(obj.get("isRetweet", False)),
-        reply_to_id=int(obj["replyToId"]) if obj.get("replyToId") is not None else None,
+        text=text,
+        hashtags=[_hashtag(h) for h in hashtags],
+        mentions=[_mention(m) for m in mentions],
+        urls=urls,
+        is_retweet=is_retweet,
+        reply_to_id=reply_to_id,
         geo=geo,
-        language=str(obj["lang"]) if obj.get("lang") is not None else None,
-        has_image=bool(obj.get("hasImage", False)),
+        language=language,
+        has_image=has_image,
     )
 
 
@@ -320,6 +365,25 @@ def json_line(obj) -> str:
     return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
 
 
+def json_document(doc) -> str:
+    """``doc`` as a JSON document: indented by 1, keys sorted, non-ASCII kept, newline-terminated."""
+    return json.dumps(doc, ensure_ascii=False, indent=1, sort_keys=True) + "\n"
+
+
+def write_json(path, doc):
+    """Write ``json_document(doc)`` to ``path`` as UTF-8, creating its directory."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    Path(path).write_text(json_document(doc), encoding="utf-8")
+
+
+def int_cell(text: str) -> int:
+    """An integer written in a text cell as ASCII digits only; a sign, a space,
+    an underscore or a digit of another script is a ValueError."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"expected ASCII digits, got {text!r}")
+    return int(text)
+
+
 def read_ndjson(path, row):
     """Yield ``row(obj)`` for each JSON line of ``path``, one at a time.
 
@@ -405,6 +469,12 @@ class _Fields(dict):
         return super().get(key, default)
 
 
+def _shown(value) -> str:
+    """``value`` as JSON, cut to 40 characters for an error message."""
+    shown = json_line(value)
+    return shown if len(shown) <= 40 else shown[:37] + "..."
+
+
 def _kind_name(kind) -> str:
     if isinstance(kind, (list, tuple)):
         return "a list" if isinstance(kind, list) else f"a list of {len(kind)}"
@@ -444,8 +514,7 @@ def json_value(value, kind, name: str):
         return value
     elif kind is float and type(value) is int:
         return float(value)
-    shown = json_line(value)
-    raise ConfigError(f"{name} must be {_kind_name(kind)}, got {shown if len(shown) <= 40 else shown[:37] + '...'}")
+    raise ConfigError(f"{name} must be {_kind_name(kind)}, got {_shown(value)}")
 
 
 def json_field(obj, key: str, kind, default=_REQUIRED):

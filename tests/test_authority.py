@@ -277,10 +277,11 @@ class TestIO:
         assert "editors" in doc["skippedRules"]
 
     def test_bad_edge_line_has_line_number(self, tmp_path):
-        (tmp_path / "edges.tsv").write_text("1\t2\nbroken\n", encoding="utf-8")
         (tmp_path / "groups.json").write_text('{"gatekeepers": [1]}', encoding="utf-8")
-        with pytest.raises(ConfigError, match=":2"):
-            load_follow_graph(tmp_path / "edges.tsv", tmp_path / "groups.json")
+        for line in ["broken", "1\t2\t3", "1_000_001\t2", "+1\t2", "1\t 2", "\u0661\t2"]:
+            (tmp_path / "edges.tsv").write_text(f"1\t2\n{line}\n", encoding="utf-8")
+            with pytest.raises(ConfigError, match=":2"):
+                load_follow_graph(tmp_path / "edges.tsv", tmp_path / "groups.json")
 
 
 class TestResultType:

@@ -17,7 +17,7 @@ from tweetcorpus.sim import (
     write_world,
 )
 from tweetcorpus.store import CorpusStore
-from tweetcorpus.tweets import format_timestamp, json_line, parse_tweet
+from tweetcorpus.tweets import format_timestamp, json_document, json_line, parse_tweet
 
 
 WINDOW = {"start": "2013-09-01T00:00:00Z", "end": "2013-09-02T00:00:00Z"}
@@ -116,7 +116,7 @@ class TestCollect:
         with CorpusStore(run_dir / "store") as store:
             # stored counts probe rows too; count() with probes is the match
             for c in doc["corpora"]:
-                assert c["stored"] == store.count(c["corpus"], include_probes=True)
+                assert c["stored"] == store.count(c["corpus"])
         for line in err.strip().splitlines():
             assert "event" in json.loads(line)
 
@@ -159,6 +159,25 @@ class TestCollect:
         assert code == 2
         assert "at least one" in err
 
+    def test_documents_and_events_keep_non_ascii_text(self, tmp_path, capsys):
+        path = tmp_path / "änderungen" / "batch.json"
+        code, out, err = run_cli(capsys, "collect", "amend", "--amendments", path, "--corpus", "kand",
+                                 "--at", WINDOW["start"], "--keyword", "wählen")
+        assert code == 0
+        text = path.read_text(encoding="utf-8")
+        assert "wählen" in text and text == json_document(json.loads(text))
+        assert "änderungen" in out and out == json_document(json.loads(out))
+        (event,) = err.splitlines()
+        assert "änderungen" in event and event == json_line(json.loads(event))
+
+    @pytest.mark.parametrize("account", ["1_000_001:a", "+1000002:b", " 1000003:c", "\u0661:d", "5:", "x"])
+    def test_amend_account_id_is_ascii_digits(self, tmp_path, capsys, account):
+        code, _, err = run_cli(capsys, "collect", "amend", "--amendments", tmp_path / "a.json", "--corpus", "kand",
+                               "--at", "2013-09-01T00:00:00Z", "--account", account)
+        assert code == 2
+        assert "--account" in json.loads(err.strip().splitlines()[-1])["message"]
+        assert not (tmp_path / "a.json").exists()
+
     def test_status_summarizes_manifest(self, env, capsys):
         manifest = env["root"] / "main" / "manifest.json"
         code, out, _ = run_cli(capsys, "collect", "status", "--manifest", manifest)
@@ -195,7 +214,7 @@ class TestStore:
         assert code == 0
         lines = out.strip().splitlines()
         with CorpusStore(store_dir) as store:
-            assert len(lines) == store.count("tag", include_probes=False)
+            assert len(lines) == len(store.ids("tag"))
         first = parse_tweet(lines[0])
         assert first.id > 0
 
@@ -362,8 +381,9 @@ class TestExitCodes:
         assert event["bytesCut"] + 1 == (tmp_path / "store" / "c.ndjson.torn").stat().st_size
 
     def test_corrupt_store_line_is_4_and_named(self, env, tmp_path, capsys):
-        # the middle row not JSON, or with an index field of the wrong JSON type
-        for i, middle in enumerate([b"{broken", {"isProbe": "false"}, {"_id": "5"}]):
+        # the middle row not JSON, or with an index or tweet field of the wrong JSON type
+        for i, middle in enumerate([b"{broken", {"isProbe": "false"}, {"_id": "5"}, {"userid": 1.9},
+                                    {"isRetweet": "false"}]):
             store = tmp_path / f"store{i}"
             path = self.three_row_store(env, store)
             lines = path.read_bytes().splitlines(keepends=True)
@@ -375,6 +395,25 @@ class TestExitCodes:
             last = json.loads(err.strip().splitlines()[-1])
             assert last["category"] == "store" and "c.ndjson:2" in last["message"]
             assert not (store / "c.ndjson.torn").exists()
+
+    # a world row whose value is of another JSON kind, or that holds a key no reader reads
+    @pytest.mark.parametrize("name, change", [
+        ("timeline.ndjson", {"isRetweet": "false"}),
+        ("timeline.ndjson", {"replyToId": "5"}),
+        ("accounts.ndjson", {"userId": "100000"}),
+        ("accounts.ndjson", {"kind": 5}),
+        ("accounts.ndjson", {"party": 3}),
+        ("accounts.ndjson", {"role": "public"}),
+    ])
+    def test_broken_world_row_is_2_and_named(self, tmp_path, capsys, name, change):
+        _, world, corpora, _ = build_world(tmp_path, seed=4)
+        path = world / name
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[1] = json_line({**json.loads(lines[1]), **change}) + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        code, out, err = run_cli(capsys, "sim", "export", "--world", world, "--corpora", corpora)
+        assert code == 2 and out == ""
+        assert f"{path}:2:" in json.loads(err.strip().splitlines()[-1])["message"]
 
     def test_broken_probe_log_line_is_2_and_named(self, env, tmp_path, capsys):
         good = {"probeId": 1, "corpus": "tag", "injectedAt": "2013-09-01T00:10:00Z", "carrierId": 5,

@@ -1,5 +1,6 @@
 """Roster records, account resolution rules, file IO."""
 
+import csv
 import json
 import random
 from datetime import datetime, timezone
@@ -177,6 +178,21 @@ class TestFileRoundTrip:
         sidecar["K-001"]["twitter"]["professional"] = False
         sidecar_file.write_text(json.dumps(sidecar), encoding="utf-8")
         with pytest.raises(ConfigError, match="professional"):
+            load_roster(out)
+
+    @pytest.mark.parametrize("column", ["twitter_user_id", "constituency"])
+    @pytest.mark.parametrize("cell", ["1_000_001", "+1000002", " 1000003", "\u0661"])
+    def test_integer_cell_of_ascii_digits_only(self, tmp_path, column, cell):
+        out = tmp_path / "cands.csv"
+        export_candidates(self.make_roster().candidates, out)
+        with open(out, encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        rows[2][column] = cell  # K-003, on line 4, has both cells set
+        with open(out, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        with pytest.raises(ConfigError, match=r"cands\.csv:4: "):
             load_roster(out)
 
     def test_missing_header_columns(self, tmp_path):

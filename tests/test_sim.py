@@ -35,7 +35,7 @@ from tweetcorpus.sim import (
     open_source,
     write_world,
 )
-from tweetcorpus.tweets import TweetRecord, extract_entities
+from tweetcorpus.tweets import TweetRecord, extract_entities, json_document
 
 
 def mini(seed=7, **overrides):
@@ -411,6 +411,12 @@ class TestWorldFiles:
             write_world(build_scenario(mini()), tmp_path / k)
         for name in ("scenario.json", "accounts.ndjson", "follows.tsv", "groups.json", "timeline.ndjson"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
+
+    def test_json_documents_take_the_one_document_form(self, tmp_path):
+        world = write_world(build_scenario(mini()), tmp_path / "world")
+        for name in ("scenario.json", "groups.json"):
+            text = (world / name).read_text(encoding="utf-8")
+            assert text == json_document(json.loads(text)), name
 
     def test_missing_dir_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError):

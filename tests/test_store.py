@@ -176,7 +176,7 @@ class TestCount:
                 s.append(make_tweet(i), "c", is_probe=(i % 3 == 0), stored_at=BASE)
         with CorpusStore(tmp_path) as s2:
             assert s2.count("c") == 6
-            assert s2.count("c", include_probes=False) == 4
+            assert len(s2.ids("c")) == 4
             with pytest.raises(UnknownCorpusError):
                 s2.count("nope")
 
@@ -363,9 +363,11 @@ class TestRehydrate:
 
     def test_malformed_row_has_line_number(self, tmp_path):
         p = tmp_path / "bad.ids"
-        p.write_text("# corpus:c generated:2013-09-01T00:00:00Z\n123\nxyz\n", encoding="utf-8")
-        with pytest.raises(ParseError, match=r":3"):
-            read_dehydrated(p)
+        # an id is ASCII digits only: no underscore, sign, space or digit of another script
+        for row in ["xyz", "1_000_001", "+1000002", " 1000003", "-5", "\u0661"]:
+            p.write_text(f"# corpus:c generated:2013-09-01T00:00:00Z\n123\n{row}\n", encoding="utf-8")
+            with pytest.raises(ParseError, match=r":3"):
+                read_dehydrated(p)
 
     def test_bad_header(self, tmp_path):
         p = tmp_path / "bad.ids"

@@ -16,6 +16,7 @@ from tweetcorpus.tweets import (
     TweetRecord,
     extract_entities,
     json_field,
+    json_line,
     json_value,
     object_list,
     parse_tweet,
@@ -119,6 +120,28 @@ class TestParse:
     def test_malformed_json(self):
         with pytest.raises(ParseError):
             parse_tweet("{not json")
+
+    @pytest.mark.parametrize("change, named", [
+        ({"_id": "7"}, "_id"), ({"_id": True}, "_id"), ({"userid": 1.9}, "userid"),
+        ({"screenName": 5}, "screenName"), ({"tweettext": None}, "tweettext"),
+        ({"isRetweet": "false"}, "isRetweet"), ({"hasImage": "no"}, "hasImage"), ({"isRetweet": None}, "isRetweet"),
+        ({"replyToId": "3"}, "replyToId"), ({"lang": 5}, "lang"), ({"urls": [5]}, "urls"), ({"urls": "u"}, "urls"),
+        ({"hashtags": {}}, "hashtags"), ({"hashtags": [{"start": "23", "end": 28, "text": "cses"}]}, "hashtags"),
+        ({"mentions": [{"start": 0, "end": 10, "id": "145554242", "screenName": "geis_org"}]}, "mentions"),
+        ({"geo": {"lat": "52.5", "lon": 13.4, "country": "DE"}}, "geo"),
+        ({"geo": {"lat": 52.5, "lon": 13.4, "country": 49}}, "geo"),
+    ])
+    def test_field_of_another_kind_is_refused_and_named(self, change, named):
+        raw = json_line({**json.loads(PUBLISHED_ROW), **change})
+        with pytest.raises(SchemaError, match=f"^field '{named}' must be"):
+            parse_tweet(raw)
+
+    def test_geo_integers_read_as_floats_and_null_optionals_as_absent(self):
+        raw = json_line({**json.loads(PUBLISHED_ROW), "geo": {"lat": 52, "lon": 13, "country": "DE"},
+                         "replyToId": None, "lang": None})
+        t = parse_tweet(raw)
+        assert t.geo == (52.0, 13.0, "DE") and all(type(v) is float for v in t.geo[:2])
+        assert t.reply_to_id is None and t.language is None
 
     def test_unknown_attributes_ignored(self):
         raw = PUBLISHED_ROW[:-1] + ',"somethingElse":42}'
