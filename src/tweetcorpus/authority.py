@@ -74,11 +74,7 @@ def _as_fraction(value) -> Fraction:
     return Fraction(value)
 
 
-def derive_information_authorities(
-    graph: FollowGraph,
-    threshold=Fraction(1, 4),
-    include_gatekeepers: bool = True,
-) -> AuthorityResult:
+def derive_information_authorities(graph: FollowGraph, threshold=Fraction(1, 4)) -> AuthorityResult:
     """Apply the threshold rule over gatekeepers, journalists, and editors.
 
     Empty subgroups skip their rule (recorded in ``skipped_rules``); an
@@ -100,8 +96,6 @@ def derive_information_authorities(
     supports = []
     authorities = set()
     for acct in targets:
-        if not include_gatekeepers and acct in graph.gatekeepers:
-            continue
         who = followers.get(acct, set())
         n_g = len(who & graph.gatekeepers)
         frac_g = Fraction(n_g, len(graph.gatekeepers))

@@ -119,7 +119,7 @@ def cmd_sim_export(args):
 
 # -- collect -------------------------------------------------------------------
 
-def _run_inputs(args):
+def cmd_collect_run(args):
     scenario = load_world(args.world)
     defs = load_corpus_config(args.corpora)
     config_paths = [args.world / "scenario.json", args.corpora]
@@ -128,14 +128,9 @@ def _run_inputs(args):
         probe_plans = load_json_config(args.probes, probe_plans_from_obj)
         config_paths.append(args.probes)
     amendments = ()
-    if getattr(args, "amendments", None) is not None:
+    if args.amendments is not None:
         amendments = load_json_config(args.amendments, amendments_from_obj)
         config_paths.append(args.amendments)
-    return scenario, defs, probe_plans, amendments, config_paths
-
-
-def cmd_collect_run(args):
-    scenario, defs, probe_plans, amendments, config_paths = _run_inputs(args)
     _log("runStarted", corpora=[d.name for d in defs], store=str(args.store))
     with _open_store(args.store) as store:
         manifest = collect_run(
@@ -169,18 +164,6 @@ def cmd_collect_status(args):
 
 
 # -- probes --------------------------------------------------------------------
-
-def cmd_probe_run(args):
-    scenario, defs, plans, _, config_paths = _run_inputs(args)
-    probed = {p.corpus for p in plans}
-    defs = [d for d in defs if d.name in probed]
-    _log("probeRunStarted", corpora=sorted(probed), store=str(args.store))
-    with _open_store(args.store) as store:
-        manifest = collect_run(
-            scenario, defs, store, probe_plans=plans, config_paths=config_paths, logs_dir=args.logs,
-        )
-    _emit({"reports": [report_json(r) for r in manifest.completeness]})
-
 
 def cmd_probe_report(args):
     probes = read_probe_log(args.probe_log)
@@ -367,13 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     probe = sub.add_parser("probe", help="completeness probing").add_subparsers(
         dest="subcommand", required=True)
-    p = probe.add_parser("run", help="run observers for the probed corpora and report completeness")
-    p.add_argument("--world", type=Path, required=True)
-    p.add_argument("--corpora", type=Path, required=True)
-    p.add_argument("--probes", type=Path, required=True)
-    p.add_argument("--store", type=Path, required=True)
-    p.add_argument("--logs", type=Path, default=None)
-    p.set_defaults(func=cmd_probe_run)
     p = probe.add_parser("report", help="recompute completeness from a probe log and a store")
     p.add_argument("--store", type=Path, required=True)
     p.add_argument("--probe-log", type=Path, required=True)

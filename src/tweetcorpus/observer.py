@@ -14,9 +14,12 @@ Scheduled amendments widen the query forward from their timestamp and
 recover the authored backlog of added accounts; mentions of those
 accounts from before the amendment stay unrecoverable, and the amendment
 record says so.  A streamed event and a backfilled tweet take the same
-path into the store, counters and run log; a backfilled one is stored and
-logged at the amendment time, marked ``via: "backfill"``, and only the
-matched ones count as seen.
+path into the store and counters; a backfilled one is stored at the
+amendment time, after its ``createdAt``, and only the matched ones count
+as seen.  The run log, rewritten by each run, holds only what the store
+cannot: subscriptions, gaps, amendments and duplicates, each marked
+``via: "backfill"`` if backfill redelivered it; store rows plus
+``duplicate`` events equal the manifest's ``matched``.
 
 ``run_observer`` runs one observer to completion in the calling thread.
 Observers of different corpora share nothing but the source and the
@@ -163,7 +166,7 @@ class ObserverHandle:
         self._gaps: list[GapRecord] = []
         self._amendments: list[AmendmentEvent] = []
         self.fatal_error: Exception | None = None
-        self._log_fh = open(Path(run_log), "a", encoding="utf-8", buffering=1) if run_log else None
+        self._log_fh = open(Path(run_log), "w", encoding="utf-8", buffering=1) if run_log else None
 
     def snapshot(self) -> ObserverInstance:
         return ObserverInstance(
@@ -234,15 +237,13 @@ class ObserverHandle:
         return None
 
     def _process(self, t: TweetRecord, at: datetime, *, is_probe: bool = False, **via):
-        """Count, store and log one matched tweet; ``at`` is its stored and logged time."""
+        """Count and store one matched tweet at ``at``; log it only if it is a duplicate."""
         self._matched += 1
-        self._log("matched", at, tweetId=t.id, **via)
-        outcome = self._append(t, is_probe=is_probe, stored_at=at)
-        if outcome == "appended":
+        if self._append(t, is_probe=is_probe, stored_at=at) == "appended":
             self._stored += 1
         else:
             self._duplicates += 1
-        self._log("stored" if outcome == "appended" else "duplicate", at, tweetId=t.id, **via)
+            self._log("duplicate", at, tweetId=t.id, **via)
 
     def _append(self, t, *, is_probe, stored_at):
         last = None

@@ -172,12 +172,21 @@ def _sidecar_path(csv_path) -> Path:
     return Path(csv_path).with_suffix(".evidence.json")
 
 
-def _link_from_parts(candidate_id, platform, user_id_cell, screen_name_cell, sidecar, sidecar_file):
-    if not user_id_cell and not screen_name_cell:
+def _int_column(row, column) -> int:
+    try:
+        return int_cell(row[column])
+    except ValueError as exc:
+        raise ConfigError(f"column {column!r}: {exc}") from exc
+
+
+def _link_from_row(row, platform, sidecar, sidecar_file):
+    candidate_id, id_column = row["candidate_id"], f"{platform}_user_id"
+    screen_name_cell = row[f"{platform}_screen_name"]
+    if not row[id_column] and not screen_name_cell:
         return None
-    if not user_id_cell or not screen_name_cell:
+    if not row[id_column] or not screen_name_cell:
         raise ConfigError(f"candidate {candidate_id}: {platform} account needs both id and screen name")
-    user_id = int_cell(user_id_cell)
+    user_id = _int_column(row, id_column)
     entry = json_field(sidecar, candidate_id, dict, {})
     if platform not in entry:
         raise ConfigError(f"candidate {candidate_id}: {platform} account has no evidence record in {sidecar_file}")
@@ -211,19 +220,13 @@ def load_roster(path) -> Roster:
                         name=row["name"],
                         party=row["party"],
                         candidature=row["candidature"],
-                        constituency=int_cell(row["constituency"]) if row["constituency"] else None,
+                        constituency=_int_column(row, "constituency") if row["constituency"] else None,
                         state=row["state"],
-                        twitter=_link_from_parts(
-                            row["candidate_id"], "twitter", row["twitter_user_id"], row["twitter_screen_name"],
-                            sidecar, sidecar_file,
-                        ),
-                        facebook=_link_from_parts(
-                            row["candidate_id"], "facebook", row["facebook_user_id"], row["facebook_screen_name"],
-                            sidecar, sidecar_file,
-                        ),
+                        twitter=_link_from_row(row, "twitter", sidecar, sidecar_file),
+                        facebook=_link_from_row(row, "facebook", sidecar, sidecar_file),
                     )
                 )
-            except (ValueError, ConfigError) as exc:
+            except ConfigError as exc:
                 raise ConfigError(f"{path}:{lineno}: {exc}") from exc
     return Roster(candidates=tuple(candidates))
 

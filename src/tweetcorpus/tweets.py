@@ -157,14 +157,17 @@ def _kind_error(key: str, value, kind: str) -> SchemaError:
 
 
 def _hashtag(h) -> HashtagEntity:
-    start, end, text = h["start"], h["end"], h["text"]
+    fields = h if type(h) is dict else {}
+    start, end, text = fields.get("start"), fields.get("end"), fields.get("text")
     if type(start) is not int or type(end) is not int or type(text) is not str:
         raise _kind_error("hashtags", h, "objects with integers 'start' and 'end' and a string 'text'")
     return HashtagEntity(start, end, text)
 
 
 def _mention(m) -> MentionEntity:
-    start, end, user_id, screen_name, name = m["start"], m["end"], m["id"], m["screenName"], m.get("name", "")
+    fields = m if type(m) is dict else {}
+    start, end, user_id = fields.get("start"), fields.get("end"), fields.get("id")
+    screen_name, name = fields.get("screenName"), fields.get("name", "")
     if (type(start) is not int or type(end) is not int or type(user_id) is not int
             or type(screen_name) is not str or type(name) is not str):
         raise _kind_error("mentions", m, "objects with integers 'start', 'end' and 'id' and strings "
@@ -209,7 +212,8 @@ def tweet_from_dict(obj: Mapping) -> TweetRecord:
     if language is not None and type(language) is not str:
         raise _kind_error("lang", language, "a string or null")
     if geo is not None:
-        lat, lon, country = geo["lat"], geo["lon"], geo["country"]
+        fields = geo if type(geo) is dict else {}
+        lat, lon, country = fields.get("lat"), fields.get("lon"), fields.get("country")
         if type(lat) not in (int, float) or type(lon) not in (int, float) or type(country) is not str:
             raise _kind_error("geo", geo, "null or an object with numbers 'lat' and 'lon' and a string 'country'")
         geo = (float(lat), float(lon), country)

@@ -26,13 +26,11 @@ from tweetcorpus.errors import AnalysisError, ConfigError
 # Enumerates every followed account and every rule with exact fractions,
 # straight from the rule statement, sharing nothing with the module.
 
-def oracle_authorities(edges, gatekeepers, journalists, editors, threshold, include_gatekeepers=True):
+def oracle_authorities(edges, gatekeepers, journalists, editors, threshold):
     thr = Fraction(threshold) if not isinstance(threshold, float) else Fraction(str(threshold))
     targets = {b for (a, b) in edges if a in gatekeepers}
     out = set()
     for acct in targets:
-        if not include_gatekeepers and acct in gatekeepers:
-            continue
         ok = False
         n_g = len([g for g in gatekeepers if (g, acct) in edges])
         if Fraction(n_g, len(gatekeepers)) >= thr:
@@ -73,15 +71,6 @@ class TestDeriveAgainstOracle:
             result = derive_information_authorities(g, threshold=thr)
             want = oracle_authorities(g.edges, g.gatekeepers, g.journalists, g.editors, thr)
             assert result.authorities == want
-
-    def test_exclude_gatekeepers_flag(self):
-        rng = random.Random(9)
-        g = random_graph(rng)
-        result = derive_information_authorities(g, include_gatekeepers=False)
-        want = oracle_authorities(g.edges, g.gatekeepers, g.journalists, g.editors,
-                                  Fraction(1, 4), include_gatekeepers=False)
-        assert result.authorities == want
-        assert not result.authorities & g.gatekeepers
 
 
 def graph_of(edges, g, j=(), e=()):

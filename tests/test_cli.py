@@ -187,18 +187,15 @@ class TestCollect:
 
 class TestProbe:
     def test_probe_run_reports_lossless(self, env, capsys):
-        run_dir = env["root"] / "probe"
-        code, out, _ = run_cli(
-            capsys, "probe", "run", "--world", env["world"], "--corpora", env["corpora"],
-            "--probes", env["probes"], "--store", run_dir / "store", "--logs", run_dir / "logs")
-        assert code == 0
-        reports = json.loads(out)["reports"]
-        assert len(reports) == 1
-        assert (reports[0]["created"], reports[0]["stored"], reports[0]["completeness"]) == (5, 5, 1.0)
+        # the probes run inside `collect run`; its manifest carries their report
+        run_dir = env["root"] / "main"
+        doc = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
+        (report,) = doc["completeness"]
+        assert (report["corpus"], report["created"], report["stored"], report["completeness"]) == ("tag", 5, 5, 1.0)
         assert len(read_probe_log(run_dir / "logs" / "probes-tag.ndjson")) == 5
 
     def test_probe_report_recomputes_from_log(self, env, capsys):
-        run_dir = env["root"] / "probe"
+        run_dir = env["root"] / "main"
         code, out, _ = run_cli(
             capsys, "probe", "report", "--store", run_dir / "store",
             "--probe-log", run_dir / "logs" / "probes-tag.ndjson", "--corpora", env["corpora"])
@@ -537,10 +534,12 @@ class TestExitCodes:
         probes.write_text(json.dumps({"probes": [
             {"corpus": "tag", "count": 1,
              "intervalSeconds": int((s.end - s.start).total_seconds()) + 3600}]}), encoding="utf-8")
-        code, _, err = run_cli(capsys, "probe", "run", "--world", world, "--corpora", corpora,
-                               "--probes", probes, "--store", tmp_path / "store")
+        code, _, err = run_cli(capsys, "collect", "run", "--world", world, "--corpora", corpora,
+                               "--probes", probes, "--store", tmp_path / "store",
+                               "--manifest", tmp_path / "run.json")
         assert code == 3
         assert json.loads(err.strip().splitlines()[-1])["category"] == "source"
+        assert json.loads((tmp_path / "run.json").read_text(encoding="utf-8"))["status"] == "failed"
 
     def test_unknown_subcommand_exits_2(self, capsys):
         with pytest.raises(SystemExit) as e:

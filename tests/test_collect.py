@@ -169,6 +169,19 @@ class TestReproducibility:
         assert manifest_a == manifest_b
         assert export_a == export_b
 
+    def test_rerun_into_the_same_logs_rewrites_them(self, tmp_path):
+        s = world()
+        added = tuple((a.user_id, a.screen_name) for a in s.accounts_of_kind("emergent"))
+        amendment = ScheduledAmendment("kand", AmendmentPlan(at=s.emergence_time, accounts=added))
+        logs = tmp_path / "logs"
+        runs = []
+        for tag in ("a", "b"):
+            with CorpusStore(tmp_path / tag / "store") as store:
+                collect_run(s, [candidate_def(s), keyword_def(s)], store, amendments=[amendment], logs_dir=logs)
+            runs.append({p.name: p.read_bytes() for p in logs.glob("observer-*.ndjson")})
+        assert sorted(runs[0]) == ["observer-kand.ndjson", "observer-tag.ndjson"]
+        assert runs[0] == runs[1]
+
     def test_run_id_depends_on_seed_and_configs(self):
         base = derive_run_id(1, ["aa"], ["kand"])
         assert derive_run_id(2, ["aa"], ["kand"]) != base

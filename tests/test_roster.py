@@ -180,7 +180,7 @@ class TestFileRoundTrip:
         with pytest.raises(ConfigError, match="professional"):
             load_roster(out)
 
-    @pytest.mark.parametrize("column", ["twitter_user_id", "constituency"])
+    @pytest.mark.parametrize("column", ["twitter_user_id", "facebook_user_id", "constituency"])
     @pytest.mark.parametrize("cell", ["1_000_001", "+1000002", " 1000003", "\u0661"])
     def test_integer_cell_of_ascii_digits_only(self, tmp_path, column, cell):
         out = tmp_path / "cands.csv"
@@ -192,7 +192,7 @@ class TestFileRoundTrip:
             writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
             writer.writeheader()
             writer.writerows(rows)
-        with pytest.raises(ConfigError, match=r"cands\.csv:4: "):
+        with pytest.raises(ConfigError, match=rf"cands\.csv:4: column '{column}': expected ASCII digits"):
             load_roster(out)
 
     def test_missing_header_columns(self, tmp_path):

@@ -130,6 +130,8 @@ class TestParse:
         ({"mentions": [{"start": 0, "end": 10, "id": "145554242", "screenName": "geis_org"}]}, "mentions"),
         ({"geo": {"lat": "52.5", "lon": 13.4, "country": "DE"}}, "geo"),
         ({"geo": {"lat": 52.5, "lon": 13.4, "country": 49}}, "geo"),
+        ({"hashtags": ["x"]}, "hashtags"), ({"mentions": [5]}, "mentions"), ({"geo": [52, 13]}, "geo"),
+        ({"hashtags": [{}]}, "hashtags"), ({"mentions": [{"start": 0}]}, "mentions"), ({"geo": {"lat": 1}}, "geo"),
     ])
     def test_field_of_another_kind_is_refused_and_named(self, change, named):
         raw = json_line({**json.loads(PUBLISHED_ROW), **change})
