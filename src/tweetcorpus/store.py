@@ -3,9 +3,10 @@
 Layout: one line file (``tweets.read_ndjson``) per corpus under the store
 root.  Each line is the canonical tweet object plus an envelope
 (``corpus``, ``storedAt``, ``isProbe``).  The in-memory index (tweet id
--> probe flag), built at open, is the ledger of what a corpus holds: append
-dedupe (per process, so two concurrent ``collect run``s on one store can
-duplicate rows), ``count``, ``ids`` and the probe filter of ``scan``.
+-> probe flag) and each corpus's latest non-probe ``storedAt``, built at
+open, are the ledger of what a corpus holds: append dedupe (per process, so
+two concurrent ``collect run``s on one store can duplicate rows),
+``count``, ``ids``, the probe filter of ``scan`` and ``dehydrate``.
 Scans yield a stable total order by (created_at, id).
 
 A crash can cut the last append short.  On open, a final line without a
@@ -15,7 +16,8 @@ the next append.  Any other unreadable line is a StoreError.
 
 Dehydration writes the shareable ID-list form: a ``# corpus:<name>
 generated:<UTC>`` header followed by one ``tweet_id<TAB>candidate_id?``
-row per record, in ascending id order.  Rehydration resolves such a file
+row per stored id, in ascending id order; it reads rows only to annotate
+candidates.  Rehydration resolves such a file
 against any object with ``fetch_tweets(ids)`` and reports unresolvable
 ids instead of fabricating records.
 """
@@ -30,7 +32,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .corpus import _as_utc
-from .errors import ParseError, StoreError, UnknownCorpusError
+from .errors import ParseError, SchemaError, StoreError, UnknownCorpusError
 from .tweets import (
     TweetRecord,
     format_timestamp,
@@ -61,12 +63,24 @@ class RehydrationResult:
     missing_ids: tuple[int, ...]
 
 
-def _index_entry(obj) -> tuple[int, bool]:
-    """A row's ledger entry: ``_id`` a JSON integer, ``isProbe`` a JSON bool (absent is false)."""
-    tweet_id, is_probe = obj["_id"], obj.get("isProbe", False)
+def _index_entry(obj) -> tuple[int, bool, datetime]:
+    """A row's ledger entry: ``_id`` a JSON integer, ``isProbe`` a JSON bool
+    (absent is false) and ``storedAt`` a timestamp, as UTC."""
+    tweet_id, is_probe, stored_at = obj["_id"], obj.get("isProbe", False), obj["storedAt"]
     if type(tweet_id) is not int or type(is_probe) is not bool:
         raise ValueError(f"'_id' must be an integer and 'isProbe' true or false, got {tweet_id!r} and {is_probe!r}")
-    return tweet_id, is_probe
+    try:
+        return tweet_id, is_probe, _as_utc(parse_timestamp(stored_at))
+    except SchemaError as exc:
+        raise ValueError(f"'storedAt' must be a timestamp, got {stored_at!r}") from exc
+
+
+def _author(obj) -> tuple[int, int]:
+    """A row's ``_id`` and ``userid``, both JSON integers; the rest is not decoded."""
+    tweet_id, user_id = obj["_id"], obj["userid"]
+    if type(tweet_id) is not int or type(user_id) is not int:
+        raise ValueError(f"'_id' and 'userid' must be integers, got {tweet_id!r} and {user_id!r}")
+    return tweet_id, user_id
 
 
 def _stored_tweet(obj) -> StoredTweet:
@@ -93,17 +107,23 @@ class CorpusStore:
         self.root.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
         self._index: dict[str, dict[int, bool]] = {}
+        self._latest: dict[str, datetime] = {}
         self._handles: dict[str, object] = {}
         self.torn: dict[str, int] = {}
         for path in sorted(self.root.glob("*.ndjson")):
             index = self._index[path.stem] = {}
+            latest = None
             try:
-                for tweet_id, is_probe in read_ndjson(path, _index_entry):
+                for tweet_id, is_probe, stored_at in read_ndjson(path, _index_entry):
                     index[tweet_id] = is_probe
+                    if not is_probe and (latest is None or stored_at > latest):
+                        latest = stored_at
             except ParseError as exc:
                 if exc.torn_at is None:
                     raise StoreError(str(exc)) from exc
                 self.torn[path.stem] = _cut_tail(path, exc.torn_at)
+            if latest is not None:
+                self._latest[path.stem] = latest
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -159,6 +179,9 @@ class CorpusStore:
             fh.write(json_line(obj) + "\n")
             fh.flush()
             ids[tweet.id] = is_probe
+            if not is_probe:
+                stamp = _as_utc(stored_at)
+                self._latest[corpus] = max(self._latest.get(corpus, stamp), stamp)
             return "appended"
 
     # -- reads -------------------------------------------------------------
@@ -171,7 +194,8 @@ class CorpusStore:
         if corpus not in self._index:
             raise UnknownCorpusError(corpus)
 
-    def _read_all(self, corpus: str) -> list[StoredTweet]:
+    def _read_rows(self, corpus: str, row) -> list:
+        """``row(obj)`` for each line of ``corpus``'s file, appends included."""
         with self._lock:
             self._require(corpus)
             fh = self._handles.get(corpus)
@@ -181,9 +205,12 @@ class CorpusStore:
             if not path.exists():
                 return []
             try:
-                return list(read_ndjson(path, _stored_tweet))
+                return list(read_ndjson(path, row))
             except ParseError as exc:
                 raise StoreError(str(exc)) from exc
+
+    def _read_all(self, corpus: str) -> list[StoredTweet]:
+        return self._read_rows(corpus, _stored_tweet)
 
     def scan(self, corpus: str, include_probes: bool = False) -> list[StoredTweet]:
         """Point-in-time snapshot, ordered by (created_at, id)."""
@@ -229,20 +256,22 @@ def privacy_filter(store: CorpusStore, corpus: str, roster_index: dict[int, str]
 # -- dehydration / rehydration -----------------------------------------------
 
 def dehydrate(store: CorpusStore, corpus: str, path, roster_index: dict[int, str] | None = None) -> int:
-    """Write the shareable ID list for ``corpus``; returns the row count.
+    """Write the shareable ID list for ``corpus``; returns the id count.
 
-    Probe records never leave the store.  The header timestamp is the
-    latest storedAt (the epoch for an empty corpus), so identical stores
-    give byte-identical files.
+    The ledger answers: probe records never leave the store, an id stored
+    twice is written once, and the header timestamp is the latest storedAt
+    of the non-probe rows (the epoch for an empty corpus), so identical
+    stores give byte-identical files.  Rows are read, for their ``_id`` and
+    ``userid`` only, just when ``roster_index`` annotates candidates.
     """
-    rows = store.scan(corpus, include_probes=False)
-    generated_at = max((r.stored_at for r in rows), default=EPOCH)
-    lines = [f"# corpus:{corpus} generated:{format_timestamp(_as_utc(generated_at))}"]
-    for row in sorted(rows, key=lambda r: r.tweet.id):
-        cid = roster_index.get(row.tweet.user_id) if roster_index else None
-        lines.append(f"{row.tweet.id}\t{cid}" if cid is not None else str(row.tweet.id))
+    ids = sorted(store.ids(corpus))
+    authors = dict(store._read_rows(corpus, _author)) if roster_index else {}
+    lines = [f"# corpus:{corpus} generated:{format_timestamp(store._latest.get(corpus, EPOCH))}"]
+    for tweet_id in ids:
+        cid = roster_index.get(authors[tweet_id]) if roster_index else None
+        lines.append(f"{tweet_id}\t{cid}" if cid is not None else str(tweet_id))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return len(rows)
+    return len(ids)
 
 
 def read_dehydrated(path) -> tuple[str, datetime, list[tuple[int, str | None]]]:

@@ -1,5 +1,7 @@
 """Command surface: exit codes, stream discipline, end-to-end subcommands."""
 
+import contextlib
+import io
 import json
 from datetime import datetime, timezone
 
@@ -68,13 +70,22 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def collect_into(capsys, env, tag):
+def collect_into(env, tag):
     run_dir = env["root"] / tag
-    code, out, err = run_cli(
-        capsys, "collect", "run", "--world", env["world"], "--corpora", env["corpora"],
-        "--store", run_dir / "store", "--manifest", run_dir / "manifest.json",
-        "--probes", env["probes"], "--logs", run_dir / "logs")
-    return code, out, err, run_dir
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(a) for a in (
+            "collect", "run", "--world", env["world"], "--corpora", env["corpora"],
+            "--store", run_dir / "store", "--manifest", run_dir / "manifest.json",
+            "--probes", env["probes"], "--logs", run_dir / "logs")])
+    return code, out.getvalue(), err.getvalue(), run_dir
+
+
+@pytest.fixture(scope="module")
+def main_run(env):
+    """The `collect run` into ``root/main`` that later tests read, made once
+    whichever of them run."""
+    return collect_into(env, "main")
 
 
 class TestSim:
@@ -106,8 +117,8 @@ class TestSim:
 
 
 class TestCollect:
-    def test_run_fills_store_and_manifest(self, env, capsys):
-        code, out, err, run_dir = collect_into(capsys, env, "main")
+    def test_run_fills_store_and_manifest(self, main_run):
+        code, out, err, run_dir = main_run
         assert code == 0
         assert "status ok" in out
         doc = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
@@ -121,8 +132,8 @@ class TestCollect:
             assert "event" in json.loads(line)
 
     def test_rerun_is_byte_identical(self, env, capsys):
-        code_a, _, _, dir_a = collect_into(capsys, env, "rep-a")
-        code_b, _, _, dir_b = collect_into(capsys, env, "rep-b")
+        code_a, _, _, dir_a = collect_into(env, "rep-a")
+        code_b, _, _, dir_b = collect_into(env, "rep-b")
         assert code_a == code_b == 0
         assert (dir_a / "manifest.json").read_bytes() == (dir_b / "manifest.json").read_bytes()
         for tag, d in (("a", dir_a), ("b", dir_b)):
@@ -178,7 +189,7 @@ class TestCollect:
         assert "--account" in json.loads(err.strip().splitlines()[-1])["message"]
         assert not (tmp_path / "a.json").exists()
 
-    def test_status_summarizes_manifest(self, env, capsys):
+    def test_status_summarizes_manifest(self, env, main_run, capsys):
         manifest = env["root"] / "main" / "manifest.json"
         code, out, _ = run_cli(capsys, "collect", "status", "--manifest", manifest)
         assert code == 0
@@ -186,7 +197,7 @@ class TestCollect:
 
 
 class TestProbe:
-    def test_probe_run_reports_lossless(self, env, capsys):
+    def test_probe_run_reports_lossless(self, env, main_run, capsys):
         # the probes run inside `collect run`; its manifest carries their report
         run_dir = env["root"] / "main"
         doc = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
@@ -194,7 +205,7 @@ class TestProbe:
         assert (report["corpus"], report["created"], report["stored"], report["completeness"]) == ("tag", 5, 5, 1.0)
         assert len(read_probe_log(run_dir / "logs" / "probes-tag.ndjson")) == 5
 
-    def test_probe_report_recomputes_from_log(self, env, capsys):
+    def test_probe_report_recomputes_from_log(self, env, main_run, capsys):
         run_dir = env["root"] / "main"
         code, out, _ = run_cli(
             capsys, "probe", "report", "--store", run_dir / "store",
@@ -205,7 +216,7 @@ class TestProbe:
 
 
 class TestStore:
-    def test_scan_prints_ndjson(self, env, capsys):
+    def test_scan_prints_ndjson(self, env, main_run, capsys):
         store_dir = env["root"] / "main" / "store"
         code, out, _ = run_cli(capsys, "store", "scan", "--store", store_dir, "--corpus", "tag")
         assert code == 0
@@ -215,14 +226,14 @@ class TestStore:
         first = parse_tweet(lines[0])
         assert first.id > 0
 
-    def test_scan_include_probes_adds_probe_rows(self, env, capsys):
+    def test_scan_include_probes_adds_probe_rows(self, env, main_run, capsys):
         store_dir = env["root"] / "main" / "store"
         _, plain, _ = run_cli(capsys, "store", "scan", "--store", store_dir, "--corpus", "tag")
         _, with_probes, _ = run_cli(capsys, "store", "scan", "--store", store_dir,
                                     "--corpus", "tag", "--include-probes")
         assert len(with_probes.strip().splitlines()) == len(plain.strip().splitlines()) + 5
 
-    def test_dehydrate_rehydrate_round_trip(self, env, capsys):
+    def test_dehydrate_rehydrate_round_trip(self, env, main_run, capsys):
         run_dir = env["root"] / "main"
         ids_path = run_dir / "kand.ids"
         code, out, _ = run_cli(capsys, "store", "dehydrate", "--store", run_dir / "store",
@@ -239,7 +250,7 @@ class TestStore:
         with CorpusStore(run_dir / "store") as store:
             assert got == {r.tweet.id for r in store.scan("kand")}
 
-    def test_privacy_filter_keeps_roster_authors_only(self, env, capsys):
+    def test_privacy_filter_keeps_roster_authors_only(self, env, main_run, capsys):
         run_dir = env["root"] / "main"
         roster_path = env["root"] / "roster.csv"
         verified = write_small_roster(roster_path, env["scenario"])
@@ -280,7 +291,7 @@ class TestAnalysis:
             load_follow_graph(graph_path, groups_path), threshold="0.25"))
         assert json.loads(out) == json.loads(json.dumps(want))
 
-    def test_engagement_rows_are_sorted_actors(self, env, capsys):
+    def test_engagement_rows_are_sorted_actors(self, env, main_run, capsys):
         code, out, _ = run_cli(capsys, "engagement", "--store", env["root"] / "main" / "store",
                                "--corpus", "tag")
         assert code == 0
@@ -289,7 +300,7 @@ class TestAnalysis:
         for row in json.loads(out)["actors"]:
             assert 1 <= row["breadth"] <= row["depth"]
 
-    def test_bias_report_shapes_and_determinism(self, env, capsys):
+    def test_bias_report_shapes_and_determinism(self, env, main_run, capsys):
         args = ("bias", "report", "--world", env["world"], "--corpora", env["corpora"],
                 "--store", env["root"] / "main" / "store")
         code, out_a, _ = run_cli(capsys, *args)
@@ -355,7 +366,7 @@ class TestExitCodes:
         last = json.loads(err.strip().splitlines()[-1])
         assert last["category"] == "config" and str(path) in last["message"] and named in last["message"]
 
-    def test_unknown_corpus_is_4(self, env, capsys):
+    def test_unknown_corpus_is_4(self, env, main_run, capsys):
         code, _, err = run_cli(capsys, "store", "scan", "--store", env["root"] / "main" / "store",
                                "--corpus", "nicht-da")
         assert code == 4
@@ -379,8 +390,8 @@ class TestExitCodes:
 
     def test_corrupt_store_line_is_4_and_named(self, env, tmp_path, capsys):
         # the middle row not JSON, or with an index or tweet field of the wrong JSON type
-        for i, middle in enumerate([b"{broken", {"isProbe": "false"}, {"_id": "5"}, {"userid": 1.9},
-                                    {"isRetweet": "false"}]):
+        for i, middle in enumerate([b"{broken", {"isProbe": "false"}, {"_id": "5"}, {"storedAt": 5},
+                                    {"storedAt": "yesterday"}, {"userid": 1.9}, {"isRetweet": "false"}]):
             store = tmp_path / f"store{i}"
             path = self.three_row_store(env, store)
             lines = path.read_bytes().splitlines(keepends=True)

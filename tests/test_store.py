@@ -26,6 +26,12 @@ def utc(*args):
 BASE = utc(2013, 9, 1)
 
 
+def change_second_row(path, **change):
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[1] = json.dumps({**json.loads(lines[1]), **change}) + "\n"
+    path.write_text("".join(lines), encoding="utf-8")
+
+
 def make_tweet(i, user_id=500, text=None, created=None):
     text = text or f"beitrag nummer {i}"
     hashtags, mentions = extract_entities(text)
@@ -190,6 +196,15 @@ class TestCount:
             with pytest.raises(UnknownCorpusError):
                 s2.ids("nope")
 
+    @pytest.mark.parametrize("stored_at", [5, "yesterday", None])
+    def test_open_reads_stored_at_strictly(self, tmp_path, stored_at):
+        with CorpusStore(tmp_path) as s:
+            for i in (1, 2, 3):
+                s.append(make_tweet(i), "c", stored_at=BASE)
+        change_second_row(tmp_path / "c.ndjson", storedAt=stored_at)
+        with pytest.raises(StoreError, match=r"c\.ndjson:2: .*storedAt"):
+            CorpusStore(tmp_path)
+
 
 class TestTornTail:
     """A crash can cut the last append short; only the final line may be torn."""
@@ -324,6 +339,50 @@ class TestDehydrate:
             s.append(make_tweet(1), "c", is_probe=True, stored_at=BASE)
             s.append(make_tweet(2), "c", stored_at=BASE)
             assert dehydrate(s, "c", tmp_path / "c.ids") == 1
+
+    def test_header_is_latest_non_probe_stored_at(self, tmp_path):
+        with CorpusStore(tmp_path / "s") as s:
+            s.append(make_tweet(1), "c", stored_at=BASE + timedelta(hours=2))
+            s.append(make_tweet(2), "c", stored_at=datetime(2013, 9, 1, 3, tzinfo=timezone(timedelta(hours=2))))
+            s.append(make_tweet(3), "c", is_probe=True, stored_at=BASE + timedelta(days=1))
+            dehydrate(s, "c", tmp_path / "live.ids")
+        with CorpusStore(tmp_path / "s") as s:
+            dehydrate(s, "c", tmp_path / "reopened.ids")
+        text = (tmp_path / "live.ids").read_text(encoding="utf-8")
+        assert text == "# corpus:c generated:2013-09-01T02:00:00Z\n1\n2\n"
+        assert (tmp_path / "reopened.ids").read_text(encoding="utf-8") == text
+
+    def test_reads_no_row_without_roster(self, tmp_path, monkeypatch):
+        with CorpusStore(tmp_path / "s") as s:
+            fill_store(s, 5)
+            s.append(make_tweet(1), "c", is_probe=True, stored_at=BASE + timedelta(days=1))
+
+            def refuse(*_):
+                raise AssertionError("a row was read")
+
+            monkeypatch.setattr("tweetcorpus.store.read_ndjson", refuse)
+            assert dehydrate(s, "c", tmp_path / "c.ids") == 5
+        want = "# corpus:c generated:2013-09-01T00:00:04Z\n" + "".join(f"{1000 + i}\n" for i in range(5))
+        assert (tmp_path / "c.ids").read_text(encoding="utf-8") == want
+
+    def test_id_stored_twice_is_written_once(self, tmp_path):
+        # two writers on one store, as two concurrent collect runs, both append tweet 1000
+        with CorpusStore(tmp_path / "s") as a, CorpusStore(tmp_path / "s") as b:
+            fill_store(a, 3)
+            b.append(make_tweet(1000, user_id=101), "c", stored_at=BASE)
+        with CorpusStore(tmp_path / "s") as s:
+            for roster_index, out in ((None, "plain.ids"), ({101: "K-001"}, "roster.ids")):
+                assert dehydrate(s, "c", tmp_path / out, roster_index=roster_index) == 3
+                _, _, rows = read_dehydrated(tmp_path / out)
+                assert [i for i, _ in rows] == [1000, 1001, 1002]
+
+    def test_roster_path_reads_userid_strictly(self, tmp_path):
+        with CorpusStore(tmp_path / "s") as s:
+            fill_store(s, 3)
+        change_second_row(tmp_path / "s" / "c.ndjson", userid="101")
+        with CorpusStore(tmp_path / "s") as s:
+            with pytest.raises(StoreError, match=r"c\.ndjson:2: .*userid"):
+                dehydrate(s, "c", tmp_path / "c.ids", roster_index={101: "K-001"})
 
 
 class TestRehydrate:
