@@ -23,6 +23,7 @@ import random
 from collections import defaultdict, deque
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta, timezone
+from itertools import accumulate
 from pathlib import Path
 
 from .authority import FollowGraph, load_follow_graph, write_follow_graph
@@ -200,6 +201,27 @@ def _weighted_choice(rng: random.Random, pairs):
     return pairs[-1][0]
 
 
+def _cumulative_choice(pairs):
+    """Return ``draw(rng)``: from one table of running sums, it picks what
+    ``_weighted_choice(rng, pairs)`` picks with the same one ``rng.random()``.
+
+    The weights must be integers.  Every running sum is then exact, and so is
+    each subtraction ``_weighted_choice`` makes before it stops, so its test
+    ``x - sum(w[:k+1]) <= 0`` holds exactly when ``x <= cumulative[k]``.  The
+    first such k is ``bisect_left``, at a tie too, where ``bisect_right`` and
+    ``random.choices`` take the next item.  Float weights such as
+    ``language_mix`` can round differently, so they keep ``_weighted_choice``.
+    """
+    values = [value for value, _ in pairs]
+    cumulative = list(accumulate(w for _, w in pairs))
+    total = cumulative[-1]
+
+    def draw(rng: random.Random):
+        return values[bisect.bisect_left(cumulative, rng.random() * total)]
+
+    return draw
+
+
 def build_scenario(config: ScenarioConfig) -> Scenario:
     """Generate the whole world from the seed.  Same config, same world."""
     rng = random.Random(config.seed)
@@ -251,23 +273,24 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
 
     registry = {a.screen_name.lower(): (a.user_id, a.display_name or a.screen_name) for a in accounts}
     authors = [a for a in accounts if a.kind != "probe"]
-    author_weights = {"candidate": 3.0, "journalist": 2.0, "editor": 2.0, "emergent": 2.0, "public": 1.0}
-    weighted_authors = [(a, author_weights[a.kind]) for a in authors]
+    # integer weights keep the cumulative draw exactly _weighted_choice's draw
+    author_weights = {"candidate": 3, "journalist": 2, "editor": 2, "emergent": 2, "public": 1}
+    draw_author = _cumulative_choice([(a, author_weights[a.kind]) for a in authors])
     mention_pool = [a for a in accounts if a.kind != "probe"]
 
     offsets = sorted(rng.randrange(config.duration_s) for _ in range(config.n_tweets))
     timeline: list[TweetRecord] = []
     roots: dict[int, TweetRecord] = {}  # id -> root of its conversation
-    recent: list[TweetRecord] = []
+    recent: deque[TweetRecord] = deque(maxlen=50)  # what replies and retweets draw from
 
     for k, off in enumerate(offsets):
         tweet_id = 1_000_000 + k
         created = config.start + timedelta(seconds=off)
-        author = _weighted_choice(rng, weighted_authors)
+        author = draw_author(rng)
 
         parent = None
         if recent and rng.random() < config.reply_probability:
-            parent = rng.choice(recent[-50:])
+            parent = rng.choice(recent)
 
         words = rng.sample(WORDS, rng.randrange(2, 5))
         tags: list[str] = []
@@ -289,7 +312,7 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
                 if len(tags) >= 2:
                     break
             if rng.random() < config.retweet_probability and recent:
-                orig = rng.choice(recent[-50:])
+                orig = rng.choice(recent)
                 if orig.user_id != author.user_id:
                     is_retweet = True
                     words = ["RT", "@" + orig.screen_name] + orig.text.split()[:8]

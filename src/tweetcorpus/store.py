@@ -283,7 +283,10 @@ def read_dehydrated(path) -> tuple[str, datetime, list[tuple[int, str | None]]]:
     m = _HEADER_RE.match(lines[0])
     if not m:
         raise ParseError(f"{path}:1: bad header: {lines[0]!r}")
-    generated = parse_timestamp(m.group("ts"))
+    try:
+        generated = parse_timestamp(m.group("ts"))
+    except SchemaError as exc:
+        raise ParseError(f"{path}:1: header time does not parse as a timestamp: {m.group('ts')!r}") from exc
     rows: list[tuple[int, str | None]] = []
     seen: set[int] = set()
     for lineno, line in enumerate(lines[1:], start=2):

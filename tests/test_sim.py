@@ -1,7 +1,9 @@
 """Scenario generation determinism, source semantics, faults, ground truth."""
 
+import hashlib
 import json
 import math
+import random
 from dataclasses import replace
 from datetime import timedelta
 
@@ -9,6 +11,7 @@ import pytest
 
 from test_corpus import oracle_matches
 
+from tweetcorpus import sim
 from tweetcorpus.corpus import (
     AccountQuery,
     CorpusDefinition,
@@ -111,6 +114,23 @@ class TestGeneration:
         s = build_scenario(mini(n_tweets=2000, duration_s=40_000, geo_enabled_fraction=0.3))
         frac = sum(1 for t in s.timeline if t.geo is not None) / len(s.timeline)
         assert abs(frac - 0.3) <= 0.05
+
+    def test_cumulative_draw_equals_running_subtraction(self):
+        pairs = list(enumerate([3, 0, 2, 2, 1, 0, 3, 1, 2, 0, 1]))
+        draw = sim._cumulative_choice(pairs)
+        a, b = random.Random(11), random.Random(11)
+        assert [draw(a) for _ in range(10_000)] == [sim._weighted_choice(b, pairs) for _ in range(10_000)]
+        assert a.getstate() == b.getstate()
+
+    def test_cumulative_draw_takes_the_first_item_at_a_tie(self):
+        class Half(random.Random):
+            def random(self):
+                return 0.5
+
+        # x = 0.5 * 6 = 3.0 reaches the first running sum exactly
+        pairs = [("a", 3), ("b", 2), ("c", 1)]
+        assert sim._weighted_choice(Half(), pairs) == "a"
+        assert sim._cumulative_choice(pairs)(Half()) == "a"
 
     def test_invalid_config_names_field(self):
         with pytest.raises(ConfigError, match="geo_enabled_fraction"):
@@ -411,6 +431,27 @@ class TestWorldFiles:
             write_world(build_scenario(mini()), tmp_path / k)
         for name in ("scenario.json", "accounts.ndjson", "follows.tsv", "groups.json", "timeline.ndjson"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
+
+    @pytest.mark.parametrize("overrides, digests", [
+        ({}, {
+            "scenario.json": "71d9d9f6d5703d8223c6999e877e1c326b7de79204f7f0ba8edebaa89cd02456",
+            "accounts.ndjson": "e485cd7920011061e03ff1bd8579dabac98c31b1bd931b7266ebc6051598bfc5",
+            "follows.tsv": "420a0ac69267ed34b4b3a26a6f7d9f32017b47c69bf0c394b1357f4fcbaa91e1",
+            "groups.json": "465cb10a09ec93bc497132604786e52b6f6e44204cc7358fd931b1ef667ca768",
+            "timeline.ndjson": "48b3afb94525a040cc315be5d5741b99d458c19594ee4044da35d3cc3f0a1a0d",
+        }),
+        ({"n_public": 2000, "n_tweets": 2000}, {
+            "scenario.json": "e5cf85e81b82e220f25b49480b7bc6a59e62aaf63a02139c6c0fef93c0a4fea8",
+            "accounts.ndjson": "0570796706832a691a1c0d774790eaef5b453d444747425aac1104aaf2fd633e",
+            "follows.tsv": "87b5c9a2f90b4f9c67ba40a873e289f1c8cbb7b3a112c32ae2b902285a9f0201",
+            "groups.json": "465cb10a09ec93bc497132604786e52b6f6e44204cc7358fd931b1ef667ca768",
+            "timeline.ndjson": "d076789134eea1a3d54d56e8484055de41456ca11f53227c9fd568c5ed863279",
+        }),
+    ], ids=["mini", "wide"])
+    def test_world_bytes_are_pinned(self, tmp_path, overrides, digests):
+        # a changed digest means the same config and seed now build another world
+        world = write_world(build_scenario(mini(**overrides)), tmp_path / "world")
+        assert {name: hashlib.sha256((world / name).read_bytes()).hexdigest() for name in digests} == digests
 
     def test_json_documents_take_the_one_document_form(self, tmp_path):
         world = write_world(build_scenario(mini()), tmp_path / "world")

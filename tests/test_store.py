@@ -434,6 +434,12 @@ class TestRehydrate:
         with pytest.raises(ParseError, match=r":1"):
             read_dehydrated(p)
 
+    def test_bad_header_time_names_file_and_line(self, tmp_path):
+        p = tmp_path / "bad.ids"
+        p.write_text("# corpus:c generated:yesterday\n5\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=r"bad\.ids:1: header time .*'yesterday'"):
+            read_dehydrated(p)
+
     def test_duplicate_id_rejected(self, tmp_path):
         p = tmp_path / "bad.ids"
         p.write_text("# corpus:c generated:2013-09-01T00:00:00Z\n5\n5\n", encoding="utf-8")
