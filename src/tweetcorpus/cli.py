@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from datetime import datetime
 from pathlib import Path
@@ -68,12 +69,17 @@ def _emit(doc):
     sys.stdout.write(json_document(doc))
 
 
-def _open_store(root) -> CorpusStore:
-    """Open a store and log each torn final line it cut off."""
+@contextmanager
+def _open_store(root):
+    """Open a store for one command; when the command leaves it, failed or
+    not, log each torn final line that its first use of a corpus cut off."""
     store = CorpusStore(root)
-    for corpus, cut in sorted(store.torn.items()):
-        _log("tornTail", bytesCut=cut, corpus=corpus)
-    return store
+    try:
+        with store:
+            yield store
+    finally:
+        for corpus, cut in sorted(store.torn.items()):
+            _log("tornTail", bytesCut=cut, corpus=corpus)
 
 
 def _parse_account(text: str) -> tuple[int, str]:

@@ -2,17 +2,20 @@
 
 Layout: one line file (``tweets.read_ndjson``) per corpus under the store
 root.  Each line is the canonical tweet object plus an envelope
-(``corpus``, ``storedAt``, ``isProbe``).  The in-memory index (tweet id
--> probe flag) and each corpus's latest non-probe ``storedAt``, built at
-open, are the ledger of what a corpus holds: append dedupe (per process, so
-two concurrent ``collect run``s on one store can duplicate rows),
-``count``, ``ids``, the probe filter of ``scan`` and ``dehydrate``.
-Scans yield a stable total order by (created_at, id).
+(``corpus``, ``storedAt``, ``isProbe``).  A corpus's ledger, the in-memory
+index (tweet id -> probe flag) and its latest non-probe ``storedAt``, is
+the record of what the corpus holds: append dedupe (per process, so two
+concurrent ``collect run``s on one store can duplicate rows), ``count``,
+``ids``, the probe filter of ``scan`` and ``dehydrate``.  Opening a store
+reads no row; a corpus's ledger is built on its first use, from the same
+pass as the rows that use reads, so a command decodes only the corpora it
+uses.  Scans yield a stable total order by (created_at, id).
 
-A crash can cut the last append short.  On open, a final line without a
-newline that does not parse is cut off into ``<corpus>.ndjson.torn`` and
-reported in ``CorpusStore.torn``; one that parses gets its newline before
-the next append.  Any other unreadable line is a StoreError.
+A crash can cut the last append short.  On a corpus's first use, a final
+line without a newline that does not parse is cut off into
+``<corpus>.ndjson.torn`` and reported in ``CorpusStore.torn``; one that
+parses gets its newline before the next append.  Any other unreadable line
+is a StoreError.
 
 Dehydration writes the shareable ID-list form: a ``# corpus:<name>
 generated:<UTC>`` header followed by one ``tweet_id<TAB>candidate_id?``
@@ -63,28 +66,16 @@ class RehydrationResult:
     missing_ids: tuple[int, ...]
 
 
-def _index_entry(obj) -> tuple[int, bool, datetime]:
-    """A row's ledger entry: ``_id`` a JSON integer, ``isProbe`` a JSON bool
-    (absent is false) and ``storedAt`` a timestamp, as UTC."""
-    tweet_id, is_probe, stored_at = obj["_id"], obj.get("isProbe", False), obj["storedAt"]
-    if type(tweet_id) is not int or type(is_probe) is not bool:
-        raise ValueError(f"'_id' must be an integer and 'isProbe' true or false, got {tweet_id!r} and {is_probe!r}")
-    try:
-        return tweet_id, is_probe, _as_utc(parse_timestamp(stored_at))
-    except SchemaError as exc:
-        raise ValueError(f"'storedAt' must be a timestamp, got {stored_at!r}") from exc
+def _author(obj, stored_at) -> tuple[int, int]:
+    """A row's ``_id`` and ``userid``, a JSON integer; the rest is not decoded."""
+    user_id = obj["userid"]
+    if type(user_id) is not int:
+        raise ValueError(f"'userid' must be an integer, got {user_id!r}")
+    return obj["_id"], user_id
 
 
-def _author(obj) -> tuple[int, int]:
-    """A row's ``_id`` and ``userid``, both JSON integers; the rest is not decoded."""
-    tweet_id, user_id = obj["_id"], obj["userid"]
-    if type(tweet_id) is not int or type(user_id) is not int:
-        raise ValueError(f"'_id' and 'userid' must be integers, got {tweet_id!r} and {user_id!r}")
-    return tweet_id, user_id
-
-
-def _stored_tweet(obj) -> StoredTweet:
-    return StoredTweet(tweet=tweet_from_dict(obj), stored_at=parse_timestamp(obj["storedAt"]))
+def _stored_tweet(obj, stored_at) -> StoredTweet:
+    return StoredTweet(tweet=tweet_from_dict(obj), stored_at=stored_at)
 
 
 def _cut_tail(path: Path, offset: int) -> int:
@@ -100,30 +91,19 @@ def _cut_tail(path: Path, offset: int) -> int:
 
 class CorpusStore:
     """Directory-backed store; one writer handle per corpus, shared lock.
-    ``torn`` maps a corpus to the bytes of the torn line cut off at open."""
+    The open only lists the corpus files; a corpus's ledger is built on its
+    first use.  ``torn`` maps a corpus to the bytes of the torn line that
+    use cut off."""
 
     def __init__(self, root):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
+        self._names = {path.stem for path in self.root.glob("*.ndjson")}
         self._index: dict[str, dict[int, bool]] = {}
         self._latest: dict[str, datetime] = {}
         self._handles: dict[str, object] = {}
         self.torn: dict[str, int] = {}
-        for path in sorted(self.root.glob("*.ndjson")):
-            index = self._index[path.stem] = {}
-            latest = None
-            try:
-                for tweet_id, is_probe, stored_at in read_ndjson(path, _index_entry):
-                    index[tweet_id] = is_probe
-                    if not is_probe and (latest is None or stored_at > latest):
-                        latest = stored_at
-            except ParseError as exc:
-                if exc.torn_at is None:
-                    raise StoreError(str(exc)) from exc
-                self.torn[path.stem] = _cut_tail(path, exc.torn_at)
-            if latest is not None:
-                self._latest[path.stem] = latest
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -139,10 +119,58 @@ class CorpusStore:
     def __exit__(self, *exc):
         self.close()
 
-    # -- writes ------------------------------------------------------------
+    # -- corpus files and their ledgers (lock held) --------------------------
 
     def _path(self, corpus: str) -> Path:
         return self.root / f"{corpus}.ndjson"
+
+    def _first_pass(self, corpus: str, row) -> list:
+        """Build ``corpus``'s ledger from one pass over its file, cutting a
+        torn final line off, and return ``row(obj, stored_at)`` for each line
+        from the same pass (nothing when ``row`` is None).  Each line's
+        ``_id`` must be a JSON integer, its ``isProbe`` a JSON bool (absent
+        is false) and its ``storedAt`` a timestamp."""
+        index, latest, rows = {}, None, []
+
+        def line(obj):
+            nonlocal latest
+            tweet_id, is_probe, stored_at = obj["_id"], obj.get("isProbe", False), obj["storedAt"]
+            if type(tweet_id) is not int or type(is_probe) is not bool:
+                raise ValueError(f"'_id' must be an integer and 'isProbe' true or false, got {tweet_id!r} and {is_probe!r}")
+            try:
+                stored_at = parse_timestamp(stored_at)
+            except SchemaError as exc:
+                raise ValueError(f"'storedAt' must be a timestamp, got {stored_at!r}") from exc
+            index[tweet_id] = is_probe
+            if not is_probe:
+                stamp = _as_utc(stored_at)
+                if latest is None or stamp > latest:
+                    latest = stamp
+            if row is not None:
+                rows.append(row(obj, stored_at))
+
+        path = self._path(corpus)
+        if path.exists():
+            try:
+                for _ in read_ndjson(path, line):
+                    pass
+            except ParseError as exc:
+                if exc.torn_at is None:
+                    raise StoreError(str(exc)) from exc
+                self.torn[corpus] = _cut_tail(path, exc.torn_at)
+        self._index[corpus] = index
+        if latest is not None:
+            self._latest[corpus] = latest
+        return rows
+
+    def _ledger(self, corpus: str) -> dict[int, bool]:
+        """``corpus``'s index, built on first use, which also registers the corpus."""
+        if corpus not in self._index:
+            self._names.add(corpus)
+            self._first_pass(corpus, None)
+        return self._index[corpus]
+
+    # -- writes ------------------------------------------------------------
 
     def _handle(self, corpus: str):
         fh = self._handles.get(corpus)
@@ -162,7 +190,7 @@ class CorpusStore:
         if not _CORPUS_NAME_RE.match(corpus):
             raise StoreError(f"corpus name not usable as a file name: {corpus!r}")
         with self._lock:
-            self._index.setdefault(corpus, {})
+            self._ledger(corpus)
             self._handle(corpus)
 
     def append(self, tweet: TweetRecord, corpus: str, *, is_probe: bool = False, stored_at: datetime) -> str:
@@ -170,7 +198,7 @@ class CorpusStore:
         if not _CORPUS_NAME_RE.match(corpus):
             raise StoreError(f"corpus name not usable as a file name: {corpus!r}")
         with self._lock:
-            ids = self._index.setdefault(corpus, {})
+            ids = self._ledger(corpus)
             if tweet.id in ids:
                 return "duplicate"
             obj = {"corpus": corpus, "storedAt": format_timestamp(stored_at), "isProbe": is_probe}
@@ -188,16 +216,19 @@ class CorpusStore:
 
     def corpora(self) -> list[str]:
         with self._lock:
-            return sorted(self._index)
+            return sorted(self._names)
 
     def _require(self, corpus: str):
-        if corpus not in self._index:
+        if corpus not in self._names:
             raise UnknownCorpusError(corpus)
 
     def _read_rows(self, corpus: str, row) -> list:
-        """``row(obj)`` for each line of ``corpus``'s file, appends included."""
+        """``row(obj, stored_at)`` for each line of ``corpus``'s file, appends
+        included; on the corpus's first use, the same pass builds its ledger."""
         with self._lock:
             self._require(corpus)
+            if corpus not in self._index:
+                return self._first_pass(corpus, row)
             fh = self._handles.get(corpus)
             if fh is not None:
                 fh.flush()
@@ -205,7 +236,7 @@ class CorpusStore:
             if not path.exists():
                 return []
             try:
-                return list(read_ndjson(path, row))
+                return list(read_ndjson(path, lambda obj: row(obj, parse_timestamp(obj["storedAt"]))))
             except ParseError as exc:
                 raise StoreError(str(exc)) from exc
 
@@ -222,16 +253,16 @@ class CorpusStore:
         return rows
 
     def count(self, corpus: str) -> int:
-        """Rows in ``corpus``, probes included, answered from the index without decoding."""
+        """Rows in ``corpus``, probes included, answered from the ledger without decoding."""
         with self._lock:
             self._require(corpus)
-            return len(self._index[corpus])
+            return len(self._ledger(corpus))
 
     def ids(self, corpus: str, probes: bool = False) -> frozenset[int]:
-        """Ids of ``corpus``'s probe rows, or of its other rows, from the index without decoding."""
+        """Ids of ``corpus``'s probe rows, or of its other rows, from the ledger without decoding."""
         with self._lock:
             self._require(corpus)
-            return frozenset(i for i, is_probe in self._index[corpus].items() if is_probe == probes)
+            return frozenset(i for i, is_probe in self._ledger(corpus).items() if is_probe == probes)
 
 
 # -- derived corpora ---------------------------------------------------------
@@ -264,8 +295,8 @@ def dehydrate(store: CorpusStore, corpus: str, path, roster_index: dict[int, str
     stores give byte-identical files.  Rows are read, for their ``_id`` and
     ``userid`` only, just when ``roster_index`` annotates candidates.
     """
+    authors = dict(store._read_rows(corpus, _author)) if roster_index else {}  # first, so it builds the ledger
     ids = sorted(store.ids(corpus))
-    authors = dict(store._read_rows(corpus, _author)) if roster_index else {}
     lines = [f"# corpus:{corpus} generated:{format_timestamp(store._latest.get(corpus, EPOCH))}"]
     for tweet_id in ids:
         cid = roster_index.get(authors[tweet_id]) if roster_index else None
@@ -287,6 +318,8 @@ def read_dehydrated(path) -> tuple[str, datetime, list[tuple[int, str | None]]]:
         generated = parse_timestamp(m.group("ts"))
     except SchemaError as exc:
         raise ParseError(f"{path}:1: header time does not parse as a timestamp: {m.group('ts')!r}") from exc
+    if generated.tzinfo is None:
+        raise ParseError(f"{path}:1: header time has no UTC offset: {m.group('ts')!r}")
     rows: list[tuple[int, str | None]] = []
     seen: set[int] = set()
     for lineno, line in enumerate(lines[1:], start=2):

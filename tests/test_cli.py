@@ -404,6 +404,39 @@ class TestExitCodes:
             assert last["category"] == "store" and "c.ndjson:2" in last["message"]
             assert not (store / "c.ndjson.torn").exists()
 
+    def test_corrupt_line_fails_only_the_corpus_it_is_in(self, env, tmp_path, capsys):
+        store = tmp_path / "store"
+        with CorpusStore(store) as s:
+            for t in env["scenario"].timeline[:3]:
+                s.append(t, "a", stored_at=t.created_at)
+                s.append(t, "b", stored_at=t.created_at)
+        lines = (store / "b.ndjson").read_bytes().splitlines(keepends=True)
+        (store / "b.ndjson").write_bytes(lines[0] + b"{broken\n" + lines[2])
+        code, out, _ = run_cli(capsys, "store", "scan", "--store", store, "--corpus", "a")
+        assert code == 0 and len(out.splitlines()) == 3
+        code, _, err = run_cli(capsys, "store", "scan", "--store", store, "--corpus", "b")
+        assert code == 4
+        assert "b.ndjson:2" in json.loads(err.strip().splitlines()[-1])["message"]
+
+    def test_torn_tail_is_logged_when_the_command_fails(self, env, tmp_path, capsys):
+        # privacy-filter first uses its derived corpus (torn: cut), then fails on its source corpus
+        store = tmp_path / "store"
+        with CorpusStore(store) as s:
+            for t in env["scenario"].timeline[:3]:
+                s.append(t, "c", stored_at=t.created_at)
+                s.append(t, "c-candidates", stored_at=t.created_at)
+        lines = (store / "c.ndjson").read_bytes().splitlines(keepends=True)
+        (store / "c.ndjson").write_bytes(lines[0] + b"{broken\n" + lines[2])
+        derived = store / "c-candidates.ndjson"
+        derived.write_bytes(derived.read_bytes()[:-40])
+        write_small_roster(tmp_path / "roster.csv", env["scenario"])
+        code, _, err = run_cli(capsys, "store", "privacy-filter", "--store", store, "--corpus", "c",
+                               "--roster", tmp_path / "roster.csv")
+        assert code == 4
+        events = [json.loads(line) for line in err.strip().splitlines()]
+        assert [e["corpus"] for e in events if e["event"] == "tornTail"] == ["c-candidates"]
+        assert events[-1]["category"] == "store" and "c.ndjson:2" in events[-1]["message"]
+
     # a world row whose value is of another JSON kind, or that holds a key no reader reads
     @pytest.mark.parametrize("name, change", [
         ("timeline.ndjson", {"isRetweet": "false"}),

@@ -16,7 +16,7 @@ from tweetcorpus.store import (
     read_dehydrated,
     rehydrate,
 )
-from tweetcorpus.tweets import TweetRecord, extract_entities
+from tweetcorpus.tweets import TweetRecord, extract_entities, read_ndjson
 
 
 def utc(*args):
@@ -202,8 +202,9 @@ class TestCount:
             for i in (1, 2, 3):
                 s.append(make_tweet(i), "c", stored_at=BASE)
         change_second_row(tmp_path / "c.ndjson", storedAt=stored_at)
-        with pytest.raises(StoreError, match=r"c\.ndjson:2: .*storedAt"):
-            CorpusStore(tmp_path)
+        with CorpusStore(tmp_path) as s2:  # the open reads no row; the corpus's first use does
+            with pytest.raises(StoreError, match=r"c\.ndjson:2: .*storedAt"):
+                s2.count("c")
 
 
 class TestTornTail:
@@ -221,8 +222,8 @@ class TestTornTail:
         last_start = data.rindex(b"\n", 0, len(data) - 1) + 1
         path.write_bytes(data[:-40])  # the append of row 3 cut short
         with CorpusStore(tmp_path) as s:
-            assert s.torn == {"c": len(data) - 40 - last_start}
             assert [r.tweet.id for r in s.scan("c")] == [1, 2]
+            assert s.torn == {"c": len(data) - 40 - last_start}
             assert s.append(make_tweet(3), "c", stored_at=BASE) == "appended"
         assert path.read_bytes() == data
         assert (tmp_path / "c.ndjson.torn").read_bytes() == data[last_start:-40] + b"\n"
@@ -239,6 +240,57 @@ class TestTornTail:
             s.append(make_tweet(4), "c", stored_at=BASE)
         with CorpusStore(tmp_path) as s2:
             assert [r.tweet.id for r in s2.scan("c")] == [1, 2, 3, 4]
+
+    def test_append_as_first_use_cuts_the_tail_before_writing(self, tmp_path):
+        path = self.three_rows(tmp_path)
+        data = path.read_bytes()
+        path.write_bytes(data[:-40])
+        with CorpusStore(tmp_path) as s:
+            assert s.append(make_tweet(3), "c", stored_at=BASE) == "appended"
+            assert s.torn == {"c": len(data) - 40 - (data.rindex(b"\n", 0, len(data) - 1) + 1)}
+        assert path.read_bytes() == data
+
+
+class TestFirstUse:
+    """The open reads no row; a corpus's file is read when the corpus is first used."""
+
+    @pytest.fixture
+    def opened(self, tmp_path, monkeypatch):
+        with CorpusStore(tmp_path) as s:
+            for corpus in ("a", "b"):
+                fill_store(s, 6, corpus)
+        reads = []
+
+        def recording(path, row):
+            reads.append(path.name)
+            return read_ndjson(path, row)
+
+        monkeypatch.setattr("tweetcorpus.store.read_ndjson", recording)
+        return reads
+
+    def test_open_reads_nothing(self, tmp_path, opened):
+        with CorpusStore(tmp_path) as s:
+            assert s.corpora() == ["a", "b"]
+        assert opened == []
+
+    def test_scan_reads_its_corpus_once(self, tmp_path, opened):
+        with CorpusStore(tmp_path) as s:
+            assert len(s.scan("a")) == 6
+            assert opened == ["a.ndjson"]
+            assert s.count("a") == 6 and len(s.ids("a")) == 6
+            assert dehydrate(s, "a", tmp_path / "a.ids") == 6
+        assert opened == ["a.ndjson"]
+
+    def test_count_reads_only_its_corpus(self, tmp_path, opened):
+        with CorpusStore(tmp_path) as s:
+            assert s.count("b") == s.count("b") == 6
+        assert opened == ["b.ndjson"]
+
+    def test_roster_dehydrate_reads_its_corpus_once(self, tmp_path, opened):
+        with CorpusStore(tmp_path) as s:
+            assert dehydrate(s, "a", tmp_path / "a.ids", roster_index={101: "K-001"}) == 6
+        assert opened == ["a.ndjson"]
+        assert (tmp_path / "a.ids").read_text(encoding="utf-8").startswith("# corpus:a generated:2013-09-01T00:00:05Z\n")
 
 
 class TestPrivacyFilter:
@@ -368,6 +420,7 @@ class TestDehydrate:
     def test_id_stored_twice_is_written_once(self, tmp_path):
         # two writers on one store, as two concurrent collect runs, both append tweet 1000
         with CorpusStore(tmp_path / "s") as a, CorpusStore(tmp_path / "s") as b:
+            b.ensure_corpus("c")  # as collect run does first, so b's ledger of c is empty
             fill_store(a, 3)
             b.append(make_tweet(1000, user_id=101), "c", stored_at=BASE)
         with CorpusStore(tmp_path / "s") as s:
@@ -438,6 +491,12 @@ class TestRehydrate:
         p = tmp_path / "bad.ids"
         p.write_text("# corpus:c generated:yesterday\n5\n", encoding="utf-8")
         with pytest.raises(ParseError, match=r"bad\.ids:1: header time .*'yesterday'"):
+            read_dehydrated(p)
+
+    def test_header_time_without_utc_offset_is_refused(self, tmp_path):
+        p = tmp_path / "naive.ids"
+        p.write_text("# corpus:c generated:2013-09-01T00:00:00\n5\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=r"naive\.ids:1: header time has no UTC offset: '2013-09-01T00:00:00'"):
             read_dehydrated(p)
 
     def test_duplicate_id_rejected(self, tmp_path):
