@@ -16,7 +16,7 @@ from pathlib import Path
 from . import __version__
 from .corpus import CorpusDefinition, account_from_obj
 from .errors import ConfigError
-from .observer import AmendmentEvent, AmendmentPlan, ObserverInstance, run_observer
+from .observer import AmendmentEvent, AmendmentPlan, ObserverInstance, _widened, run_observer
 from .probes import DEFAULT_INTERVAL, CompletenessReport, compute_completeness, inject_probes, report_json, write_probe_log
 from .sim import Scenario, open_source
 from .tweets import format_timestamp, json_field, json_value, load_json_config, object_list, write_json
@@ -197,6 +197,9 @@ def append_amendment(path, sa: ScheduledAmendment) -> int:
 
 
 def _validate_names(definitions, probe_plans, amendments) -> dict[str, CorpusDefinition]:
+    """The run's corpora by name.  Names must be unique, every probe plan and
+    amendment must name one of them, and each corpus's amendments must apply
+    in ``at`` order, as its observer will apply them."""
     if not definitions:
         raise ConfigError("a run needs at least one corpus definition")
     defs: dict[str, CorpusDefinition] = {}
@@ -210,6 +213,12 @@ def _validate_names(definitions, probe_plans, amendments) -> dict[str, CorpusDef
     for sa in amendments:
         if sa.corpus not in defs:
             raise ConfigError(f"amendment references unknown corpus {sa.corpus!r}")
+    for name, definition in defs.items():
+        for plan in sorted((sa.plan for sa in amendments if sa.corpus == name), key=lambda p: p.at):
+            try:
+                definition = _widened(definition, plan.accounts, plan.keywords)[0]
+            except ConfigError as exc:
+                raise ConfigError(f"corpus {name!r} amendment at {format_timestamp(plan.at)}: {exc}") from exc
     return defs
 
 
@@ -217,14 +226,16 @@ def collect_run(scenario: Scenario, definitions, store, *, probe_plans=(), amend
                 config_paths=(), manifest_path=None, logs_dir=None, clock_factory=None) -> RunManifest:
     """Run every corpus observer over the scenario's stream and account for it.
 
-    Probes are scheduled before any observer subscribes, so the probe tweets
-    travel the same delivery path as regular traffic.  Every corpus is
-    registered in the store first, so one that stores nothing still gets a
-    completeness report.  Observers then run one after another, in sorted
-    corpus order, on one shared store; the manifest gets one counter block per
-    corpus plus a completeness report for every probed corpus.  Every observer
-    runs even if an earlier one failed; the manifest is then written with
-    status "failed" and the first error is re-raised.
+    A config error in the definitions, probe plans or amendments is raised
+    before any probe is posted or row stored.  Probes are scheduled before
+    any observer subscribes, so the probe tweets travel the same delivery
+    path as regular traffic.  Every corpus is registered in the store first,
+    so one that stores nothing still gets a completeness report.  Observers
+    then run one after another, in sorted corpus order, on one shared store;
+    the manifest gets one counter block per corpus plus a completeness report
+    for every probed corpus.  Every observer runs even if an earlier one
+    failed; the manifest is then written with status "failed" and the first
+    error is re-raised.
     """
     defs = _validate_names(definitions, probe_plans, amendments)
     config_pairs = tuple((str(p), file_hash(p)) for p in config_paths)

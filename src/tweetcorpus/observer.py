@@ -4,7 +4,9 @@ Each observer subscribes to a stream source with a compiled query,
 re-checks every delivered event against the corpus matcher, and appends
 the matches to the store.  Transport is at-least-once: the store append
 is idempotent and redeliveries surface as a duplicate count, not as
-double rows.
+double rows.  A failed append is not retried (the store refuses only a bad
+corpus name or an unreadable line, which a retry would meet again): it
+ends the observer.
 
 A refused subscription and a dropped stream are one outage: either opens
 a gap record and starts bounded exponential backoff (1 s initial,
@@ -40,13 +42,12 @@ from .corpus import (
     compile_query,
     matches,
 )
-from .errors import ConfigError, SourceDisconnected, SourceUnavailable, StoreError
+from .errors import ConfigError, SourceDisconnected, SourceUnavailable
 from .tweets import TweetRecord, format_timestamp, json_line
 
 BACKOFF_INITIAL_S = 1
 BACKOFF_CAP_S = 60
 MAX_RETRIES = 10
-APPEND_ATTEMPTS = 3
 
 NOT_RECOVERABLE = (
     "mentions and name-hashtag uses of the added accounts from before the "
@@ -124,21 +125,21 @@ def _widened(definition: CorpusDefinition, accounts, keywords):
     s = definition.strategy
     if isinstance(s, AccountQuery):
         if keywords:
-            raise ConfigError(f"{definition.name}: keyword additions need a keyword collection")
+            raise ConfigError("keyword additions need a keyword collection")
         fresh = tuple(a for a in accounts if a[0] not in s.user_ids)
         if not fresh:
-            raise ConfigError(f"{definition.name}: all added accounts are already observed")
+            raise ConfigError("all added accounts are already observed")
         widened = replace(s, accounts=s.accounts + fresh)
         return replace(definition, strategy=widened), fresh, ()
     if isinstance(s, KeywordQuery):
         if accounts:
-            raise ConfigError(f"{definition.name}: account additions need an account collection")
+            raise ConfigError("account additions need an account collection")
         fresh = tuple(k for k in keywords if k.lower().lstrip("#") not in s.hashtags)
         if not fresh:
-            raise ConfigError(f"{definition.name}: all added keywords are already tracked")
+            raise ConfigError("all added keywords are already tracked")
         widened = replace(s, hashtags=s.hashtags + fresh)
         return replace(definition, strategy=widened), (), fresh
-    raise ConfigError(f"{definition.name}: this collection strategy cannot be amended")
+    raise ConfigError("this collection strategy cannot be amended")
 
 
 class ObserverHandle:
@@ -239,20 +240,11 @@ class ObserverHandle:
     def _process(self, t: TweetRecord, at: datetime, *, is_probe: bool = False, **via):
         """Count and store one matched tweet at ``at``; log it only if it is a duplicate."""
         self._matched += 1
-        if self._append(t, is_probe=is_probe, stored_at=at) == "appended":
+        if self._sink.append(t, self._definition.name, is_probe=is_probe, stored_at=at) == "appended":
             self._stored += 1
         else:
             self._duplicates += 1
             self._log("duplicate", at, tweetId=t.id, **via)
-
-    def _append(self, t, *, is_probe, stored_at):
-        last = None
-        for _ in range(APPEND_ATTEMPTS):
-            try:
-                return self._sink.append(t, self._definition.name, is_probe=is_probe, stored_at=stored_at)
-            except StoreError as exc:
-                last = exc
-        raise last
 
     def _reconnect(self, opened_at: datetime):
         """Open a gap, then retry with backoff; returns the reconnect time and

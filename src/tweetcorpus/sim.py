@@ -566,7 +566,7 @@ class SimStreamSource:
         the id.  Probes ride the same delivery path as everything else."""
         if not self.scenario.start <= tweet.created_at < self.scenario.end:
             raise SourceUnavailable(f"probe timestamp {tweet.created_at} outside the scenario")
-        assigned = TweetRecord(**{**tweet.__dict__, "id": self._next_id})
+        assigned = replace(tweet, id=self._next_id)
         self._next_id += 1
         bisect.insort(self._events, (assigned, True), key=_event_order)
         self._author_of[assigned.id] = assigned.user_id

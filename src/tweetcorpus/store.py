@@ -7,15 +7,18 @@ index (tweet id -> probe flag) and its latest non-probe ``storedAt``, is
 the record of what the corpus holds: append dedupe (per process, so two
 concurrent ``collect run``s on one store can duplicate rows), ``count``,
 ``ids``, the probe filter of ``scan`` and ``dehydrate``.  Opening a store
-reads no row; a corpus's ledger is built on its first use, from the same
-pass as the rows that use reads, so a command decodes only the corpora it
-uses.  Scans yield a stable total order by (created_at, id).
+reads no row.  A corpus file is read one way: every row read (``scan``,
+``dehydrate`` with a roster) is one pass that also refreshes the corpus's
+ledger, so rows another writer appended are counted and filtered as they
+are read; ``count``, ``ids``, appends and plain ``dehydrate`` run that pass
+only on the corpus's first use, without building rows.  So a command
+decodes only the corpora it uses.  Scans yield a stable total order by
+(created_at, id).
 
-A crash can cut the last append short.  On a corpus's first use, a final
-line without a newline that does not parse is cut off into
-``<corpus>.ndjson.torn`` and reported in ``CorpusStore.torn``; one that
-parses gets its newline before the next append.  Any other unreadable line
-is a StoreError.
+A crash can cut the last append short.  On any pass, a final line without
+a newline that does not parse is cut off into ``<corpus>.ndjson.torn`` and
+reported in ``CorpusStore.torn``; one that parses gets its newline before
+the next append.  Any other unreadable line is a StoreError.
 
 Dehydration writes the shareable ID-list form: a ``# corpus:<name>
 generated:<UTC>`` header followed by one ``tweet_id<TAB>candidate_id?``
@@ -91,9 +94,10 @@ def _cut_tail(path: Path, offset: int) -> int:
 
 class CorpusStore:
     """Directory-backed store; one writer handle per corpus, shared lock.
-    The open only lists the corpus files; a corpus's ledger is built on its
-    first use.  ``torn`` maps a corpus to the bytes of the torn line that
-    use cut off."""
+    The open only lists the corpus files.  Every row read refreshes the
+    corpus's ledger; a first-use pass builds it for ``count``, ``ids``,
+    appends and plain ``dehydrate``.  ``torn`` maps a corpus to the bytes
+    of the torn lines its passes cut off."""
 
     def __init__(self, root):
         self.root = Path(root)
@@ -124,13 +128,13 @@ class CorpusStore:
     def _path(self, corpus: str) -> Path:
         return self.root / f"{corpus}.ndjson"
 
-    def _first_pass(self, corpus: str, row) -> list:
-        """Build ``corpus``'s ledger from one pass over its file, cutting a
+    def _pass(self, corpus: str, row) -> list:
+        """Refresh ``corpus``'s ledger from one pass over its file, cutting a
         torn final line off, and return ``row(obj, stored_at)`` for each line
         from the same pass (nothing when ``row`` is None).  Each line's
         ``_id`` must be a JSON integer, its ``isProbe`` a JSON bool (absent
         is false) and its ``storedAt`` a timestamp."""
-        index, latest, rows = {}, None, []
+        index, latest, rows = self._index.get(corpus, {}), self._latest.get(corpus), []
 
         def line(obj):
             nonlocal latest
@@ -157,7 +161,7 @@ class CorpusStore:
             except ParseError as exc:
                 if exc.torn_at is None:
                     raise StoreError(str(exc)) from exc
-                self.torn[corpus] = _cut_tail(path, exc.torn_at)
+                self.torn[corpus] = self.torn.get(corpus, 0) + _cut_tail(path, exc.torn_at)
         self._index[corpus] = index
         if latest is not None:
             self._latest[corpus] = latest
@@ -167,7 +171,7 @@ class CorpusStore:
         """``corpus``'s index, built on first use, which also registers the corpus."""
         if corpus not in self._index:
             self._names.add(corpus)
-            self._first_pass(corpus, None)
+            self._pass(corpus, None)
         return self._index[corpus]
 
     # -- writes ------------------------------------------------------------
@@ -224,21 +228,13 @@ class CorpusStore:
 
     def _read_rows(self, corpus: str, row) -> list:
         """``row(obj, stored_at)`` for each line of ``corpus``'s file, appends
-        included; on the corpus's first use, the same pass builds its ledger."""
+        included, from the pass that also refreshes its ledger."""
         with self._lock:
             self._require(corpus)
-            if corpus not in self._index:
-                return self._first_pass(corpus, row)
             fh = self._handles.get(corpus)
             if fh is not None:
                 fh.flush()
-            path = self._path(corpus)
-            if not path.exists():
-                return []
-            try:
-                return list(read_ndjson(path, lambda obj: row(obj, parse_timestamp(obj["storedAt"]))))
-            except ParseError as exc:
-                raise StoreError(str(exc)) from exc
+            return self._pass(corpus, row)
 
     def _read_all(self, corpus: str) -> list[StoredTweet]:
         return self._read_rows(corpus, _stored_tweet)

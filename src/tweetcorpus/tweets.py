@@ -78,7 +78,8 @@ class MentionEntity:
 
 @dataclass(frozen=True)
 class TweetRecord:
-    """One status update with entities and optional collection metadata."""
+    """One status update with entities and optional collection metadata.
+    Code that makes one passes the entity, URL and geo fields as tuples."""
 
     id: int
     user_id: int
@@ -93,14 +94,6 @@ class TweetRecord:
     geo: tuple[float, float, str] | None = None
     language: str | None = None
     has_image: bool = False
-
-    def __post_init__(self):
-        # Accept lists from callers; store tuples so records stay hashable values.
-        object.__setattr__(self, "hashtags", tuple(self.hashtags))
-        object.__setattr__(self, "mentions", tuple(self.mentions))
-        object.__setattr__(self, "urls", tuple(self.urls))
-        if self.geo is not None:
-            object.__setattr__(self, "geo", tuple(self.geo))
 
 
 @dataclass(frozen=True)
@@ -223,9 +216,9 @@ def tweet_from_dict(obj: Mapping) -> TweetRecord:
         screen_name=screen_name,
         created_at=parse_timestamp(obj["createdAt"]),
         text=text,
-        hashtags=[_hashtag(h) for h in hashtags],
-        mentions=[_mention(m) for m in mentions],
-        urls=urls,
+        hashtags=tuple([_hashtag(h) for h in hashtags]),
+        mentions=tuple([_mention(m) for m in mentions]),
+        urls=tuple(urls),
         is_retweet=is_retweet,
         reply_to_id=reply_to_id,
         geo=geo,
@@ -277,7 +270,7 @@ def serialize_tweet(t: TweetRecord) -> str:
 def extract_entities(
     text: str,
     accounts: Mapping[str, tuple[int, str]] | None = None,
-) -> tuple[list[HashtagEntity], list[MentionEntity]]:
+) -> tuple[tuple[HashtagEntity, ...], tuple[MentionEntity, ...]]:
     """Find every '#word' and '@word' run with convention-conformant offsets.
 
     A word is a maximal run of letters, digits and underscores.  Mention
@@ -304,7 +297,7 @@ def extract_entities(
                     display_name=display,
                 )
             )
-    return hashtags, mentions
+    return tuple(hashtags), tuple(mentions)
 
 
 def validate(t: TweetRecord) -> list[ValidationIssue]:

@@ -25,6 +25,7 @@ from tweetcorpus.errors import ConfigError, StoreError
 from tweetcorpus.observer import AmendmentPlan
 from tweetcorpus.sim import EmergentParty, FaultSchedule, build_scenario, bundestag_mini
 from tweetcorpus.store import CorpusStore, dehydrate
+from tweetcorpus.tweets import format_timestamp
 
 
 def world(seed=7, **kw):
@@ -230,6 +231,35 @@ class TestFailureManifest:
                 collect_run(s, [d, d], store, manifest_path=manifest_path)
             with pytest.raises(ConfigError, match="at least one"):
                 collect_run(s, [], store, manifest_path=manifest_path)
+        assert not manifest_path.exists()
+
+    @pytest.mark.parametrize("case", ["observed", "twice in one", "again later", "keyword corpus"])
+    def test_amendment_that_cannot_apply_is_refused_before_any_row(self, tmp_path, case):
+        s = world()
+        kand, tag = candidate_def(s), keyword_def(s)
+        known, new = kand.strategy.accounts[0], (400_000, "neupartei00")
+        at, later = s.emergence_time, s.emergence_time + timedelta(minutes=5)
+        amendments, corpus, when, message = {
+            "observed": ([ScheduledAmendment("kand", AmendmentPlan(at=at, accounts=(known,)))],
+                         "kand", at, "already observed"),
+            "twice in one": ([ScheduledAmendment("kand", AmendmentPlan(at=at, accounts=(new, new)))],
+                             "kand", at, "duplicate user ids"),
+            # listed out of order: the plan at ``at`` applies first, so the later one fails
+            "again later": ([ScheduledAmendment("kand", AmendmentPlan(at=later, accounts=(new,))),
+                             ScheduledAmendment("kand", AmendmentPlan(at=at, accounts=(new,)))],
+                            "kand", later, "already observed"),
+            "keyword corpus": ([ScheduledAmendment("tag", AmendmentPlan(at=at, accounts=(new,)))],
+                               "tag", at, "need an account collection"),
+        }[case]
+        manifest_path = tmp_path / "manifest.json"
+        with CorpusStore(tmp_path / "store") as store:
+            with pytest.raises(ConfigError) as caught:
+                collect_run(s, [kand, tag], store, probe_plans=[ProbePlan("tag", 2)],
+                            amendments=amendments, manifest_path=manifest_path)
+            assert store.corpora() == []
+        assert str(caught.value).startswith(f"corpus {corpus!r} amendment at {format_timestamp(when)}: ")
+        assert message in str(caught.value)
+        assert list((tmp_path / "store").glob("*.ndjson")) == []
         assert not manifest_path.exists()
 
 

@@ -448,17 +448,6 @@ class TestSinkFailures:
                 raise StoreError("synthetic write failure")
             return self.inner.append(tweet, corpus, is_probe=is_probe, stored_at=stored_at)
 
-    def test_transient_write_failures_are_retried(self, tmp_path):
-        s = world()
-        d = candidate_def(s)
-        with CorpusStore(tmp_path / "store") as store:
-            sink = self.Flaky(store, fail_times=2)
-            h = run_observer(d, open_source(s), sink)
-            snap = finish(h)
-            assert h.fatal_error is None
-            assert snap.stored == len(oracle_ids(s, d))
-            assert sink.calls == snap.stored + 2
-
     def test_persistent_write_failure_is_fatal(self, tmp_path):
         s = world()
         d = candidate_def(s)
@@ -466,8 +455,10 @@ class TestSinkFailures:
             sink = self.Flaky(store, fail_times=10_000)
             h = run_observer(d, open_source(s), sink)
             snap = finish(h)
-        assert snap.state == "stopped"
         assert isinstance(h.fatal_error, StoreError)
+        assert sink.calls == 1
+        assert (snap.state, snap.matched, snap.stored, snap.duplicates) == ("stopped", 1, 0, 0)
+        assert not (tmp_path / "store" / f"{d.name}.ndjson").exists()
 
 
 class TestProbesThroughObserver:

@@ -250,6 +250,39 @@ class TestTornTail:
             assert s.torn == {"c": len(data) - 40 - (data.rindex(b"\n", 0, len(data) - 1) + 1)}
         assert path.read_bytes() == data
 
+    def test_torn_line_met_on_a_reread_is_cut(self, tmp_path):
+        path = self.three_rows(tmp_path)
+        with open(path, "ab") as fh:
+            fh.write(b'{"_id": 4')
+        with CorpusStore(tmp_path) as s:
+            assert len(s.scan("c")) == 3
+            assert s.torn == {"c": 9}
+            with open(path, "ab") as fh:  # another writer's append cut short
+                fh.write(b'{"_id": 5, "x')
+            assert [r.tweet.id for r in s.scan("c")] == [1, 2, 3]
+            assert s.torn == {"c": 9 + 13}
+            assert s.append(make_tweet(4), "c", stored_at=BASE) == "appended"
+        assert (tmp_path / "c.ndjson.torn").read_bytes() == b'{"_id": 4\n{"_id": 5, "x\n'
+        with CorpusStore(tmp_path) as s2:
+            assert s2.count("c") == 4 and s2.torn == {}
+
+
+class TestReread:
+    """Every row read is the pass that refreshes the ledger."""
+
+    def test_rows_another_writer_appended_are_counted_and_filtered(self, tmp_path):
+        with CorpusStore(tmp_path) as s:
+            s.append(make_tweet(1), "c", stored_at=BASE)
+        with CorpusStore(tmp_path) as a, CorpusStore(tmp_path) as b:
+            assert [r.tweet.id for r in a.scan("c")] == [1]
+            b.append(make_tweet(2), "c", is_probe=True, stored_at=BASE + timedelta(days=2))
+            b.append(make_tweet(3), "c", stored_at=BASE + timedelta(days=1))
+            assert [r.tweet.id for r in a.scan("c")] == [1, 3]
+            assert a.count("c") == 3
+            assert a.ids("c", probes=True) == {2}
+            assert dehydrate(a, "c", tmp_path / "c.ids") == 2
+        assert (tmp_path / "c.ids").read_text(encoding="utf-8") == "# corpus:c generated:2013-09-02T00:00:00Z\n1\n3\n"
+
 
 class TestFirstUse:
     """The open reads no row; a corpus's file is read when the corpus is first used."""

@@ -179,11 +179,11 @@ class TestSerialize:
 class TestExtractEntities:
     def test_hand_counted_offsets(self):
         hashtags, mentions = extract_entities("vote #wahl2013 now")
-        assert hashtags == [HashtagEntity(start=5, end=14, text="wahl2013")]
-        assert mentions == []
+        assert hashtags == (HashtagEntity(start=5, end=14, text="wahl2013"),)
+        assert mentions == ()
 
     def test_empty_text(self):
-        assert extract_entities("") == ([], [])
+        assert extract_entities("") == ((), ())
 
     def test_duplicate_mentions_preserved(self):
         _, mentions = extract_entities("@a @a")
@@ -196,7 +196,7 @@ class TestExtractEntities:
         assert mentions[0].screen_name == "Anna_M"
 
     def test_bare_marker_ignored(self):
-        assert extract_entities("# @ nothing") == ([], [])
+        assert extract_entities("# @ nothing") == ((), ())
 
     def test_entities_ordered_and_disjoint(self):
         rng = random.Random(5)
