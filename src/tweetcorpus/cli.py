@@ -149,12 +149,10 @@ def cmd_collect_run(args):
 
 def cmd_collect_amend(args):
     accounts = tuple(_parse_account(a) for a in args.account)
-    keywords = tuple(args.keyword)
-    if not accounts and not keywords:
-        raise ConfigError("an amendment needs at least one --account or --keyword")
     plan = AmendmentPlan(at=json_value(args.at, datetime, "--at"), accounts=accounts,
-                         keywords=keywords, backfill=not args.no_backfill)
-    total = append_amendment(args.amendments, ScheduledAmendment(corpus=args.corpus, plan=plan))
+                         keywords=tuple(args.keyword), backfill=not args.no_backfill)
+    sa = ScheduledAmendment(corpus=args.corpus, plan=plan)
+    total = append_amendment(args.amendments, sa, load_corpus_config(args.corpora))
     _log("amendmentQueued", at=args.at, corpus=args.corpus, file=str(args.amendments))
     _emit({"amendments": total, "file": str(args.amendments)})
 
@@ -344,6 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_collect_run)
     p = collect.add_parser("amend", help="queue a corpus amendment for the next run")
     p.add_argument("--amendments", type=Path, required=True)
+    p.add_argument("--corpora", type=Path, required=True,
+                   help="the corpus config of the run; a batch that run would refuse is not written")
     p.add_argument("--corpus", required=True)
     p.add_argument("--at", required=True, help="amendment time, ISO-8601 UTC")
     p.add_argument("--account", action="append", default=[], metavar="ID:NAME")

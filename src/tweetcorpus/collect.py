@@ -19,6 +19,7 @@ from .errors import ConfigError
 from .observer import AmendmentEvent, AmendmentPlan, ObserverInstance, _widened, run_observer
 from .probes import DEFAULT_INTERVAL, CompletenessReport, compute_completeness, inject_probes, report_json, write_probe_log
 from .sim import Scenario, open_source
+from .store import CORPUS_NAME_RE
 from .tweets import format_timestamp, json_field, json_value, load_json_config, object_list, write_json
 
 
@@ -183,27 +184,32 @@ def _amendment_entry(sa: ScheduledAmendment) -> dict:
     }
 
 
-def append_amendment(path, sa: ScheduledAmendment) -> int:
+def append_amendment(path, sa: ScheduledAmendment, definitions) -> int:
     """Add one scheduled amendment to a batch file, creating it if absent.
 
-    Returns the total number of amendments in the file afterwards.
+    The batch it would write is checked as ``collect run`` checks it against
+    ``definitions``; a ConfigError leaves the file untouched.  Returns the
+    total number of amendments in the file afterwards.
     """
     path = Path(path)
     doc = load_json_config(path) if path.exists() else {"amendments": []}
-    json_value(doc, amendments_from_obj, str(path))  # reject malformed files before touching them
+    queued = json_value(doc, amendments_from_obj, str(path))  # reject malformed files before touching them
+    _validate_names(definitions, (), [*queued, sa])
     doc["amendments"].append(_amendment_entry(sa))
     write_json(path, doc)
     return len(doc["amendments"])
 
 
 def _validate_names(definitions, probe_plans, amendments) -> dict[str, CorpusDefinition]:
-    """The run's corpora by name.  Names must be unique, every probe plan and
-    amendment must name one of them, and each corpus's amendments must apply
-    in ``at`` order, as its observer will apply them."""
+    """The run's corpora by name.  Names must be unique and usable as store
+    file names, every probe plan and amendment must name one of them, and each
+    corpus's amendments must apply in ``at`` order, as its observer will apply them."""
     if not definitions:
         raise ConfigError("a run needs at least one corpus definition")
     defs: dict[str, CorpusDefinition] = {}
     for d in definitions:
+        if not CORPUS_NAME_RE.match(d.name):
+            raise ConfigError(f"corpus {d.name!r}: name is not usable as a store file name")
         if d.name in defs:
             raise ConfigError(f"duplicate corpus name {d.name!r}")
         defs[d.name] = d

@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import datetime
 from functools import cached_property
 from typing import Union
 
@@ -29,11 +29,6 @@ from .tweets import TweetRecord, json_field, load_json_config, object_list
 FORMAT_FLAGS = frozenset({"retweets_only", "must_have_url", "must_have_image"})
 
 _TOKEN_RE = re.compile(r"\w+")
-
-
-def _as_utc(dt: datetime) -> datetime:
-    # Naive timestamps (flagged by validate, not rejected) compare as UTC.
-    return dt.replace(tzinfo=timezone.utc) if dt.tzinfo is None else dt
 
 
 @dataclass(frozen=True)
@@ -48,7 +43,7 @@ class TimeWindow:
             raise ConfigError(f"window start {self.start} is not before end {self.end}")
 
     def contains(self, dt: datetime) -> bool:
-        return self.start <= _as_utc(dt) < self.end
+        return self.start <= dt < self.end
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .corpus import _as_utc
 from .errors import ParseError, SchemaError, StoreError, UnknownCorpusError
 from .tweets import (
     TweetRecord,
@@ -50,7 +49,8 @@ from .tweets import (
     tweet_to_dict,
 )
 
-_CORPUS_NAME_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*$")
+# the one rule for a corpus name, which is also its file name; collect checks configs by it
+CORPUS_NAME_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*$")
 _HEADER_RE = re.compile(r"# corpus:(?P<name>\S+) generated:(?P<ts>\S+)$")
 
 EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
@@ -133,7 +133,7 @@ class CorpusStore:
         torn final line off, and return ``row(obj, stored_at)`` for each line
         from the same pass (nothing when ``row`` is None).  Each line's
         ``_id`` must be a JSON integer, its ``isProbe`` a JSON bool (absent
-        is false) and its ``storedAt`` a timestamp."""
+        is false) and its ``storedAt`` a timestamp with a UTC offset."""
         index, latest, rows = self._index.get(corpus, {}), self._latest.get(corpus), []
 
         def line(obj):
@@ -144,12 +144,10 @@ class CorpusStore:
             try:
                 stored_at = parse_timestamp(stored_at)
             except SchemaError as exc:
-                raise ValueError(f"'storedAt' must be a timestamp, got {stored_at!r}") from exc
+                raise SchemaError(f"field 'storedAt': {exc}") from exc
             index[tweet_id] = is_probe
-            if not is_probe:
-                stamp = _as_utc(stored_at)
-                if latest is None or stamp > latest:
-                    latest = stamp
+            if not is_probe and (latest is None or stored_at > latest):
+                latest = stored_at
             if row is not None:
                 rows.append(row(obj, stored_at))
 
@@ -191,7 +189,7 @@ class CorpusStore:
 
     def ensure_corpus(self, corpus: str):
         """Register an (initially empty) corpus so scans of it are legal."""
-        if not _CORPUS_NAME_RE.match(corpus):
+        if not CORPUS_NAME_RE.match(corpus):
             raise StoreError(f"corpus name not usable as a file name: {corpus!r}")
         with self._lock:
             self._ledger(corpus)
@@ -199,7 +197,7 @@ class CorpusStore:
 
     def append(self, tweet: TweetRecord, corpus: str, *, is_probe: bool = False, stored_at: datetime) -> str:
         """Persist ``tweet`` into ``corpus`` at ``stored_at``; returns "appended" or "duplicate"."""
-        if not _CORPUS_NAME_RE.match(corpus):
+        if not CORPUS_NAME_RE.match(corpus):
             raise StoreError(f"corpus name not usable as a file name: {corpus!r}")
         with self._lock:
             ids = self._ledger(corpus)
@@ -212,8 +210,7 @@ class CorpusStore:
             fh.flush()
             ids[tweet.id] = is_probe
             if not is_probe:
-                stamp = _as_utc(stored_at)
-                self._latest[corpus] = max(self._latest.get(corpus, stamp), stamp)
+                self._latest[corpus] = max(self._latest.get(corpus, stored_at), stored_at)
             return "appended"
 
     # -- reads -------------------------------------------------------------
@@ -245,7 +242,7 @@ class CorpusStore:
         if not include_probes:
             probes = self.ids(corpus, probes=True)
             rows = [r for r in rows if r.tweet.id not in probes]
-        rows.sort(key=lambda r: (_as_utc(r.tweet.created_at), r.tweet.id))
+        rows.sort(key=lambda r: (r.tweet.created_at, r.tweet.id))
         return rows
 
     def count(self, corpus: str) -> int:
@@ -313,9 +310,7 @@ def read_dehydrated(path) -> tuple[str, datetime, list[tuple[int, str | None]]]:
     try:
         generated = parse_timestamp(m.group("ts"))
     except SchemaError as exc:
-        raise ParseError(f"{path}:1: header time does not parse as a timestamp: {m.group('ts')!r}") from exc
-    if generated.tzinfo is None:
-        raise ParseError(f"{path}:1: header time has no UTC offset: {m.group('ts')!r}")
+        raise ParseError(f"{path}:1: header time {exc}") from exc
     rows: list[tuple[int, str | None]] = []
     seen: set[int] = set()
     for lineno, line in enumerate(lines[1:], start=2):

@@ -48,7 +48,7 @@ from .errors import ConfigError, ParseError, SchemaError
 
 MANDATORY_ATTRS = ("_id", "userid", "screenName", "createdAt", "tweettext", "hashtags", "mentions")
 
-ISSUE_KINDS = frozenset({"offset-out-of-range", "slice-mismatch", "marker-missing", "timestamp-invalid"})
+ISSUE_KINDS = frozenset({"offset-out-of-range", "slice-mismatch", "marker-missing"})
 
 _ENTITY_RE = re.compile(r"[#@]\w+")
 
@@ -111,20 +111,20 @@ class ValidationIssue:
 
 
 def parse_timestamp(value: str) -> datetime:
-    """Parse an ISO-8601 timestamp; 'Z' means UTC.  Naive values pass through."""
-    if not isinstance(value, str):
-        raise SchemaError(f"createdAt must be a string, got {type(value).__name__}")
-    text = value.replace("Z", "+00:00") if value.endswith("Z") else value
+    """Parse an ISO-8601 timestamp with a UTC offset ('Z' means UTC); the one
+    reader of times.  Anything else, a time without an offset among them, is
+    a SchemaError, which the caller prefixes with its field or file."""
     try:
-        return datetime.fromisoformat(text)
-    except ValueError as exc:
-        raise SchemaError(f"createdAt does not parse as a timestamp: {value!r}") from exc
+        stamp = datetime.fromisoformat(value.replace("Z", "+00:00") if value.endswith("Z") else value)
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise SchemaError(f"expected an ISO-8601 timestamp, got {value!r}") from exc
+    if stamp.tzinfo is None:
+        raise SchemaError(f"{value!r} has no UTC offset")
+    return stamp
 
 
 def format_timestamp(value: datetime) -> str:
-    """Emit the 'YYYY-MM-DDTHH:MM:SSZ' form; naive datetimes keep no suffix."""
-    if value.tzinfo is None:
-        return value.isoformat()
+    """Emit the 'YYYY-MM-DDTHH:MM:SSZ' form of an aware datetime."""
     return value.astimezone(timezone.utc).isoformat().replace("+00:00", "Z")
 
 
@@ -173,7 +173,8 @@ def tweet_from_dict(obj: Mapping) -> TweetRecord:
 
     Each field is read as its JSON kind and never coerced (only a ``geo``
     integer reads as a float); another kind is a SchemaError naming the
-    field.  A naive ``createdAt`` passes, because ``validate`` flags it.
+    field.  ``createdAt`` is read by ``parse_timestamp``, so a time without
+    a UTC offset is a SchemaError too.
     """
     for attr in MANDATORY_ATTRS:
         if attr not in obj:
@@ -210,11 +211,15 @@ def tweet_from_dict(obj: Mapping) -> TweetRecord:
         if type(lat) not in (int, float) or type(lon) not in (int, float) or type(country) is not str:
             raise _kind_error("geo", geo, "null or an object with numbers 'lat' and 'lon' and a string 'country'")
         geo = (float(lat), float(lon), country)
+    try:
+        created_at = parse_timestamp(obj["createdAt"])
+    except SchemaError as exc:
+        raise SchemaError(f"field 'createdAt': {exc}") from exc
     return TweetRecord(
         id=tweet_id,
         user_id=user_id,
         screen_name=screen_name,
-        created_at=parse_timestamp(obj["createdAt"]),
+        created_at=created_at,
         text=text,
         hashtags=tuple([_hashtag(h) for h in hashtags]),
         mentions=tuple([_mention(m) for m in mentions]),
@@ -305,18 +310,10 @@ def validate(t: TweetRecord) -> list[ValidationIssue]:
 
     Never mutates the record.  Issue kinds are the closed set in
     ISSUE_KINDS; an entity with out-of-range offsets gets only the range
-    issue (marker and slice cannot be checked safely).
+    issue (marker and slice cannot be checked safely).  Times are not
+    checked: ``parse_timestamp`` already refuses one without a UTC offset.
     """
     issues: list[ValidationIssue] = []
-    if t.created_at.tzinfo is None:
-        issues.append(
-            ValidationIssue(
-                tweet_id=t.id,
-                field="created_at",
-                kind="timestamp-invalid",
-                message="timestamp has no UTC offset; instant is ambiguous",
-            )
-        )
 
     def check(path: str, start: int, end: int, marker: str, expected: str):
         if not (0 <= start < end <= len(t.text)):
@@ -505,8 +502,7 @@ def json_value(value, kind, name: str):
         return built
     elif kind is datetime:
         with contextlib.suppress(ParseError):
-            if (stamp := parse_timestamp(value)).tzinfo is not None:
-                return stamp
+            return parse_timestamp(value)
     elif type(value) is kind:
         return value
     elif kind is float and type(value) is int:

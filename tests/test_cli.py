@@ -145,7 +145,7 @@ class TestCollect:
         s = env["scenario"]
         run_dir = env["root"] / "amended"
         amendments = run_dir / "amendments.json"
-        argv = ["collect", "amend", "--amendments", amendments, "--corpus", "kand",
+        argv = ["collect", "amend", "--amendments", amendments, "--corpora", env["corpora"], "--corpus", "kand",
                 "--at", format_timestamp(s.emergence_time)]
         for a in s.accounts_of_kind("emergent"):
             argv += ["--account", f"{a.user_id}:{a.screen_name}"]
@@ -164,16 +164,41 @@ class TestCollect:
         assert len(ev["addedAccounts"]) == len(s.accounts_of_kind("emergent"))
         assert len(ev["backfill"]) == len(ev["addedAccounts"])
 
-    def test_amend_requires_some_addition(self, tmp_path, capsys):
+    def test_amend_requires_some_addition(self, env, tmp_path, capsys):
         code, _, err = run_cli(capsys, "collect", "amend", "--amendments", tmp_path / "a.json",
-                               "--corpus", "kand", "--at", "2013-09-01T00:00:00Z")
+                               "--corpora", env["corpora"], "--corpus", "kand", "--at", "2013-09-01T00:00:00Z")
         assert code == 2
         assert "at least one" in err
 
-    def test_documents_and_events_keep_non_ascii_text(self, tmp_path, capsys):
+    def test_amend_that_run_would_refuse_is_2_and_not_written(self, env, tmp_path, capsys):
+        path = tmp_path / "a.json"
+        amend = ("collect", "amend", "--amendments", path, "--corpora", env["corpora"], "--at", WINDOW["start"])
+        for corpus, addition, named in [("tag", ("--account", "1000001:neu", "--keyword", "btw13"),
+                                         "account additions need an account collection"),
+                                        ("nope", ("--keyword", "btw13"), "unknown corpus 'nope'")]:
+            code, out, err = run_cli(capsys, *amend, "--corpus", corpus, *addition)
+            assert code == 2 and out == "" and named in json.loads(err.strip().splitlines()[-1])["message"]
+            assert not path.exists()
+        assert run_cli(capsys, *amend, "--corpus", "tag", "--keyword", "btw13")[0] == 0
+        queued = path.read_bytes()
+        code, _, err = run_cli(capsys, *amend, "--corpus", "tag", "--keyword", "btw13")  # the batch tracks it twice
+        assert code == 2 and "already tracked" in err
+        assert path.read_bytes() == queued
+
+    def test_corpus_name_unusable_as_file_name_is_2_before_any_file(self, env, tmp_path, capsys):
+        corpora = tmp_path / "corpora.json"
+        corpora.write_text(json.dumps({"corpora": [TAG_CORPUS, dict(TAG_CORPUS, name="wahl/2013")]}), encoding="utf-8")
+        code, _, err = run_cli(capsys, "collect", "run", "--world", env["world"], "--corpora", corpora,
+                               "--store", tmp_path / "store", "--manifest", tmp_path / "m.json")
+        assert code == 2
+        last = json.loads(err.strip().splitlines()[-1])
+        assert last["category"] == "config" and "corpus 'wahl/2013'" in last["message"]
+        assert not (tmp_path / "m.json").exists() and not list((tmp_path / "store").rglob("*.ndjson"))
+
+    def test_documents_and_events_keep_non_ascii_text(self, env, tmp_path, capsys):
         path = tmp_path / "änderungen" / "batch.json"
-        code, out, err = run_cli(capsys, "collect", "amend", "--amendments", path, "--corpus", "kand",
-                                 "--at", WINDOW["start"], "--keyword", "wählen")
+        code, out, err = run_cli(capsys, "collect", "amend", "--amendments", path, "--corpora", env["corpora"],
+                                 "--corpus", "tag", "--at", WINDOW["start"], "--keyword", "wählen")
         assert code == 0
         text = path.read_text(encoding="utf-8")
         assert "wählen" in text and text == json_document(json.loads(text))
@@ -182,8 +207,9 @@ class TestCollect:
         assert "änderungen" in event and event == json_line(json.loads(event))
 
     @pytest.mark.parametrize("account", ["1_000_001:a", "+1000002:b", " 1000003:c", "\u0661:d", "5:", "x"])
-    def test_amend_account_id_is_ascii_digits(self, tmp_path, capsys, account):
-        code, _, err = run_cli(capsys, "collect", "amend", "--amendments", tmp_path / "a.json", "--corpus", "kand",
+    def test_amend_account_id_is_ascii_digits(self, env, tmp_path, capsys, account):
+        code, _, err = run_cli(capsys, "collect", "amend", "--amendments", tmp_path / "a.json",
+                               "--corpora", env["corpora"], "--corpus", "kand",
                                "--at", "2013-09-01T00:00:00Z", "--account", account)
         assert code == 2
         assert "--account" in json.loads(err.strip().splitlines()[-1])["message"]
@@ -456,6 +482,20 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert f"{path}:2:" in json.loads(err.strip().splitlines()[-1])["message"]
 
+    def test_world_time_without_utc_offset_is_2_and_named(self, tmp_path, capsys):
+        _, world, corpora, _ = build_world(tmp_path, seed=4)
+        path = world / "timeline.ndjson"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        row = json.loads(lines[4])
+        lines[4] = json_line({**row, "createdAt": row["createdAt"].removesuffix("Z")}) + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        code, _, err = run_cli(capsys, "collect", "run", "--world", world, "--corpora", corpora,
+                               "--store", tmp_path / "store", "--manifest", tmp_path / "m.json")
+        assert code == 2
+        message = json.loads(err.strip().splitlines()[-1])["message"]
+        assert f"{path}:5:" in message and "'createdAt'" in message and "has no UTC offset" in message
+        assert not (tmp_path / "m.json").exists() and not list((tmp_path / "store").rglob("*.ndjson"))
+
     def test_broken_probe_log_line_is_2_and_named(self, env, tmp_path, capsys):
         good = {"probeId": 1, "corpus": "tag", "injectedAt": "2013-09-01T00:10:00Z", "carrierId": 5,
                 "marker": "probe_tag_0001"}
@@ -541,7 +581,8 @@ class TestExitCodes:
             doc = {**json.loads(path.read_text(encoding="utf-8")), **doc}
         path.write_text(json.dumps(doc), encoding="utf-8")
         run = ("collect", "run", "--world", env["world"], "--store", tmp_path / "store", "--manifest", tmp_path / "m.json")
-        amend = ("collect", "amend", "--amendments", path, "--corpus", "tag", "--keyword", "x")
+        amend = ("collect", "amend", "--amendments", path, "--corpora", env["corpora"], "--corpus", "tag",
+                 "--keyword", "x")
         argv = {
             "--corpora": run + ("--corpora", path),
             "--probes": run + ("--corpora", env["corpora"], "--probes", path),

@@ -274,12 +274,13 @@ class TestConfigParsing:
 
     def test_amendment_file_round_trip(self, tmp_path):
         path = tmp_path / "amendments.json"
-        sa = ScheduledAmendment("kand", AmendmentPlan(
-            at=bundestag_mini().emergence_time, accounts=((400_000, "neu00"),), keywords=()))
-        assert append_amendment(path, sa) == 1
-        assert append_amendment(path, sa) == 2
+        defs = [candidate_def(world())]
+        first, second = (ScheduledAmendment("kand", AmendmentPlan(
+            at=bundestag_mini().emergence_time, accounts=((400_000 + i, f"neu0{i}"),), keywords=())) for i in (0, 1))
+        assert append_amendment(path, first, defs) == 1
+        assert append_amendment(path, second, defs) == 2
         loaded = amendments_from_obj(json.loads(path.read_text(encoding="utf-8")))
-        assert loaded == [sa, sa]
+        assert loaded == [first, second]
 
     def test_amendment_config_errors(self):
         with pytest.raises(ConfigError, match="'amendments' list"):

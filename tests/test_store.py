@@ -196,7 +196,7 @@ class TestCount:
             with pytest.raises(UnknownCorpusError):
                 s2.ids("nope")
 
-    @pytest.mark.parametrize("stored_at", [5, "yesterday", None])
+    @pytest.mark.parametrize("stored_at", [5, "yesterday", None, "2013-09-01T00:00:00"])
     def test_open_reads_stored_at_strictly(self, tmp_path, stored_at):
         with CorpusStore(tmp_path) as s:
             for i in (1, 2, 3):
@@ -205,6 +205,15 @@ class TestCount:
         with CorpusStore(tmp_path) as s2:  # the open reads no row; the corpus's first use does
             with pytest.raises(StoreError, match=r"c\.ndjson:2: .*storedAt"):
                 s2.count("c")
+
+    def test_scan_refuses_a_created_at_without_utc_offset(self, tmp_path):
+        with CorpusStore(tmp_path) as s:
+            for i in (1, 2, 3):
+                s.append(make_tweet(i), "c", stored_at=BASE)
+        change_second_row(tmp_path / "c.ndjson", createdAt="2013-09-01T00:00:02")
+        with CorpusStore(tmp_path) as s2:
+            with pytest.raises(StoreError, match=r"c\.ndjson:2: .*'createdAt': '2013-09-01T00:00:02' has no UTC offset"):
+                s2.scan("c")
 
 
 class TestTornTail:
@@ -529,7 +538,7 @@ class TestRehydrate:
     def test_header_time_without_utc_offset_is_refused(self, tmp_path):
         p = tmp_path / "naive.ids"
         p.write_text("# corpus:c generated:2013-09-01T00:00:00\n5\n", encoding="utf-8")
-        with pytest.raises(ParseError, match=r"naive\.ids:1: header time has no UTC offset: '2013-09-01T00:00:00'"):
+        with pytest.raises(ParseError, match=r"naive\.ids:1: header time '2013-09-01T00:00:00' has no UTC offset"):
             read_dehydrated(p)
 
     def test_duplicate_id_rejected(self, tmp_path):

@@ -19,6 +19,7 @@ from tweetcorpus.tweets import (
     json_line,
     json_value,
     object_list,
+    parse_timestamp,
     parse_tweet,
     read_ndjson,
     serialize_tweet,
@@ -116,6 +117,14 @@ class TestParse:
         )
         with pytest.raises(SchemaError, match="tweettext"):
             parse_tweet(raw)
+
+    def test_timestamp_needs_a_utc_offset(self):
+        assert parse_timestamp("2013-09-01T02:00:00+02:00") == utc(2013, 9, 1)
+        with pytest.raises(SchemaError, match=r"^'2013-09-01T00:00:00' has no UTC offset$"):
+            parse_timestamp("2013-09-01T00:00:00")
+        for value in ("yesterday", 5, None):
+            with pytest.raises(SchemaError, match=r"^expected an ISO-8601 timestamp, got "):
+                parse_timestamp(value)
 
     def test_malformed_json(self):
         with pytest.raises(ParseError):
@@ -236,9 +245,10 @@ class TestValidate:
         issues = validate(t)
         assert [(i.field, i.kind) for i in issues] == [("hashtags[0]", "offset-out-of-range")]
 
-    def test_naive_timestamp_flagged(self):
-        t = TweetRecord(id=1, user_id=2, screen_name="a", created_at=datetime(2013, 6, 1), text="hi")
-        assert [i.kind for i in validate(t)] == ["timestamp-invalid"]
+    def test_naive_timestamp_is_refused(self):
+        # a time without a UTC offset never reaches validate: parsing refuses it, naming the field
+        with pytest.raises(SchemaError, match=r"^field 'createdAt': '2014-03-19T11:08:00' has no UTC offset$"):
+            parse_tweet(PUBLISHED_ROW.replace("11:08:00Z", "11:08:00"))
 
     def test_case_insensitive_slice_ok(self):
         text = "go #WAHL2013"
