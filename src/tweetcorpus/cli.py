@@ -32,6 +32,7 @@ from .collect import (
     manifest_json,
     manifest_table,
     probe_plans_from_obj,
+    validate_names,
 )
 from .corpus import load_corpus_config
 from .errors import AnalysisError, ConfigError, SourceError, StoreError
@@ -137,6 +138,7 @@ def cmd_collect_run(args):
     if args.amendments is not None:
         amendments = load_json_config(args.amendments, amendments_from_obj)
         config_paths.append(args.amendments)
+    validate_names(defs, probe_plans, amendments)  # a refused run logs nothing and makes no store
     _log("runStarted", corpora=[d.name for d in defs], store=str(args.store))
     with _open_store(args.store) as store:
         manifest = collect_run(

@@ -194,13 +194,13 @@ def append_amendment(path, sa: ScheduledAmendment, definitions) -> int:
     path = Path(path)
     doc = load_json_config(path) if path.exists() else {"amendments": []}
     queued = json_value(doc, amendments_from_obj, str(path))  # reject malformed files before touching them
-    _validate_names(definitions, (), [*queued, sa])
+    validate_names(definitions, (), [*queued, sa])
     doc["amendments"].append(_amendment_entry(sa))
     write_json(path, doc)
     return len(doc["amendments"])
 
 
-def _validate_names(definitions, probe_plans, amendments) -> dict[str, CorpusDefinition]:
+def validate_names(definitions, probe_plans, amendments) -> dict[str, CorpusDefinition]:
     """The run's corpora by name.  Names must be unique and usable as store
     file names, every probe plan and amendment must name one of them, and each
     corpus's amendments must apply in ``at`` order, as its observer will apply them."""
@@ -243,7 +243,7 @@ def collect_run(scenario: Scenario, definitions, store, *, probe_plans=(), amend
     failed; the manifest is then written with status "failed" and the first
     error is re-raised.
     """
-    defs = _validate_names(definitions, probe_plans, amendments)
+    defs = validate_names(definitions, probe_plans, amendments)
     config_pairs = tuple((str(p), file_hash(p)) for p in config_paths)
     run_id = derive_run_id(scenario.config.seed, [h for _, h in config_pairs], defs.keys())
     if logs_dir is not None:

@@ -15,6 +15,11 @@ only on the corpus's first use, without building rows.  So a command
 decodes only the corpora it uses.  Scans yield a stable total order by
 (created_at, id).
 
+The ledger checks the keys that order and filter rows (``_id``,
+``isProbe``, ``storedAt``, ``createdAt``), so a row with one of them
+unreadable fails every use of its corpus, an export among them; a field of
+the wrong kind elsewhere in a row fails only where rows are decoded.
+
 A crash can cut the last append short.  On any pass, a final line without
 a newline that does not parse is cut off into ``<corpus>.ndjson.torn`` and
 reported in ``CorpusStore.torn``; one that parses gets its newline before
@@ -56,7 +61,7 @@ _HEADER_RE = re.compile(r"# corpus:(?P<name>\S+) generated:(?P<ts>\S+)$")
 EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class StoredTweet:
     tweet: TweetRecord
     stored_at: datetime
@@ -78,7 +83,14 @@ def _author(obj, stored_at) -> tuple[int, int]:
 
 
 def _stored_tweet(obj, stored_at) -> StoredTweet:
-    return StoredTweet(tweet=tweet_from_dict(obj), stored_at=stored_at)
+    return StoredTweet(tweet_from_dict(obj), stored_at)
+
+
+def _timestamp(obj, key: str) -> datetime:
+    try:
+        return parse_timestamp(obj[key])
+    except SchemaError as exc:
+        raise SchemaError(f"field {key!r}: {exc}") from exc
 
 
 def _cut_tail(path: Path, offset: int) -> int:
@@ -133,18 +145,17 @@ class CorpusStore:
         torn final line off, and return ``row(obj, stored_at)`` for each line
         from the same pass (nothing when ``row`` is None).  Each line's
         ``_id`` must be a JSON integer, its ``isProbe`` a JSON bool (absent
-        is false) and its ``storedAt`` a timestamp with a UTC offset."""
+        is false) and its ``storedAt`` and ``createdAt`` timestamps with a UTC
+        offset."""
         index, latest, rows = self._index.get(corpus, {}), self._latest.get(corpus), []
 
         def line(obj):
             nonlocal latest
-            tweet_id, is_probe, stored_at = obj["_id"], obj.get("isProbe", False), obj["storedAt"]
+            tweet_id, is_probe = obj["_id"], obj.get("isProbe", False)
             if type(tweet_id) is not int or type(is_probe) is not bool:
                 raise ValueError(f"'_id' must be an integer and 'isProbe' true or false, got {tweet_id!r} and {is_probe!r}")
-            try:
-                stored_at = parse_timestamp(stored_at)
-            except SchemaError as exc:
-                raise SchemaError(f"field 'storedAt': {exc}") from exc
+            stored_at = _timestamp(obj, "storedAt")
+            _timestamp(obj, "createdAt")  # scans order by it: a row they would refuse fails every use
             index[tweet_id] = is_probe
             if not is_probe and (latest is None or stored_at > latest):
                 latest = stored_at

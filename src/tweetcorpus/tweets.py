@@ -27,6 +27,10 @@ not coerced either: ``tweet_from_dict`` checks each field of a tweet row
 against its JSON kind, world account rows are built through ``json_field``,
 and ``int_cell`` reads an integer in a text cell as ASCII digits only.
 
+Records (``TweetRecord``, ``HashtagEntity``, ``MentionEntity``) are plain
+slotted dataclasses, which are cheaper to build than frozen ones: equal by
+value, unhashable, mutable by type but never mutated by the package.
+
 Entity offset convention: ``start`` indexes the marker character
 ('#' or '@'), ``end`` is exclusive, the entity text excludes the marker,
 and indices count Unicode code points.  Records parsed from external
@@ -56,7 +60,7 @@ _ENTITY_RE = re.compile(r"[#@]\w+")
 DECODE_ERRORS = (AttributeError, KeyError, TypeError, ValueError, ConfigError)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class HashtagEntity:
     """One hashtag occurrence; ``text`` is the tag without the '#'."""
 
@@ -65,7 +69,7 @@ class HashtagEntity:
     text: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MentionEntity:
     """One user mention; ``screen_name`` is the account name without '@'."""
 
@@ -76,10 +80,13 @@ class MentionEntity:
     display_name: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TweetRecord:
     """One status update with entities and optional collection metadata.
-    Code that makes one passes the entity, URL and geo fields as tuples."""
+    Code that makes one passes the entity, URL and geo fields as tuples.
+    A plain slotted dataclass, like its entities: equal by value, unhashable,
+    mutable by type but never mutated by the package; a changed copy is made
+    with ``dataclasses.replace``."""
 
     id: int
     user_id: int
@@ -176,12 +183,16 @@ def tweet_from_dict(obj: Mapping) -> TweetRecord:
     field.  ``createdAt`` is read by ``parse_timestamp``, so a time without
     a UTC offset is a SchemaError too.
     """
-    for attr in MANDATORY_ATTRS:
-        if attr not in obj:
-            raise SchemaError(f"tweet object is missing mandatory attribute {attr!r}")
-    tweet_id, user_id, screen_name, text = obj["_id"], obj["userid"], obj["screenName"], obj["tweettext"]
-    hashtags, mentions, urls = obj["hashtags"], obj["mentions"], obj.get("urls", [])
-    is_retweet, has_image = obj.get("isRetweet", False), obj.get("hasImage", False)
+    try:
+        tweet_id, user_id, screen_name, created, text, hashtags, mentions = (
+            obj["_id"], obj["userid"], obj["screenName"], obj["createdAt"], obj["tweettext"],
+            obj["hashtags"], obj["mentions"])
+    except (KeyError, TypeError):
+        for attr in MANDATORY_ATTRS:
+            if attr not in obj:
+                raise SchemaError(f"tweet object is missing mandatory attribute {attr!r}") from None
+        raise
+    urls, is_retweet, has_image = obj.get("urls", []), obj.get("isRetweet", False), obj.get("hasImage", False)
     reply_to_id, language, geo = obj.get("replyToId"), obj.get("lang"), obj.get("geo")
     if type(tweet_id) is not int:
         raise _kind_error("_id", tweet_id, "an integer")
@@ -212,24 +223,13 @@ def tweet_from_dict(obj: Mapping) -> TweetRecord:
             raise _kind_error("geo", geo, "null or an object with numbers 'lat' and 'lon' and a string 'country'")
         geo = (float(lat), float(lon), country)
     try:
-        created_at = parse_timestamp(obj["createdAt"])
+        created_at = parse_timestamp(created)
     except SchemaError as exc:
         raise SchemaError(f"field 'createdAt': {exc}") from exc
-    return TweetRecord(
-        id=tweet_id,
-        user_id=user_id,
-        screen_name=screen_name,
-        created_at=created_at,
-        text=text,
-        hashtags=tuple([_hashtag(h) for h in hashtags]),
-        mentions=tuple([_mention(m) for m in mentions]),
-        urls=tuple(urls),
-        is_retweet=is_retweet,
-        reply_to_id=reply_to_id,
-        geo=geo,
-        language=language,
-        has_image=has_image,
-    )
+    # positional, in field order
+    return TweetRecord(tweet_id, user_id, screen_name, created_at, text,
+                       tuple([_hashtag(h) for h in hashtags]), tuple([_mention(m) for m in mentions]),
+                       tuple(urls), is_retweet, reply_to_id, geo, language, has_image)
 
 
 def tweet_to_dict(t: TweetRecord) -> dict:
@@ -354,9 +354,9 @@ def validate(t: TweetRecord) -> list[ValidationIssue]:
 
 # -- files ---------------------------------------------------------------------
 
-def json_line(obj) -> str:
-    """``obj`` as one compact JSON line, without the newline."""
-    return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
+# json_line(obj): ``obj`` as one compact JSON line, without the newline; one
+# encoder serves every line, where json.dumps with arguments builds one per call
+json_line = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
 
 
 def json_document(doc) -> str:

@@ -193,7 +193,8 @@ class TestCollect:
         assert code == 2
         last = json.loads(err.strip().splitlines()[-1])
         assert last["category"] == "config" and "corpus 'wahl/2013'" in last["message"]
-        assert not (tmp_path / "m.json").exists() and not list((tmp_path / "store").rglob("*.ndjson"))
+        assert not (tmp_path / "m.json").exists() and not (tmp_path / "store").exists()
+        assert "runStarted" not in [json.loads(line).get("event") for line in err.strip().splitlines()]
 
     def test_documents_and_events_keep_non_ascii_text(self, env, tmp_path, capsys):
         path = tmp_path / "änderungen" / "batch.json"
@@ -429,6 +430,20 @@ class TestExitCodes:
             last = json.loads(err.strip().splitlines()[-1])
             assert last["category"] == "store" and "c.ndjson:2" in last["message"]
             assert not (store / "c.ndjson.torn").exists()
+
+    def test_dehydrate_refuses_a_row_that_scan_refuses(self, env, tmp_path, capsys):
+        # a created time without its UTC offset fails the export too, not only the scan
+        path = self.three_row_store(env, tmp_path / "store")
+        lines = path.read_bytes().splitlines(keepends=True)
+        row = json.loads(lines[1])
+        lines[1] = (json_line({**row, "createdAt": row["createdAt"].removesuffix("Z")}) + "\n").encode("utf-8")
+        path.write_bytes(b"".join(lines))
+        for command in (["scan"], ["dehydrate", "--out", tmp_path / "c.ids"]):
+            code, _, err = run_cli(capsys, "store", *command, "--store", tmp_path / "store", "--corpus", "c")
+            assert code == 4
+            last = json.loads(err.strip().splitlines()[-1])
+            assert last["category"] == "store" and "c.ndjson:2" in last["message"]
+        assert not (tmp_path / "c.ids").exists()
 
     def test_corrupt_line_fails_only_the_corpus_it_is_in(self, env, tmp_path, capsys):
         store = tmp_path / "store"

@@ -1,5 +1,6 @@
 """Store: idempotent appends, ordered scans, archival exports, privacy filter."""
 
+import dataclasses
 import json
 import random
 import re
@@ -168,7 +169,7 @@ class TestScan:
 
     def test_payload_round_trips(self, tmp_path):
         t = make_tweet(9, text="richtig #wahl2013 und @someone dazu https://t.co/zz")
-        t2 = TweetRecord(**{**t.__dict__, "urls": ("https://t.co/zz",), "geo": (52.5, 13.4, "DE"), "language": "de"})
+        t2 = dataclasses.replace(t, urls=("https://t.co/zz",), geo=(52.5, 13.4, "DE"), language="de")
         with CorpusStore(tmp_path) as s:
             s.append(t2, "c", stored_at=BASE)
         with CorpusStore(tmp_path) as s2:
@@ -214,6 +215,21 @@ class TestCount:
         with CorpusStore(tmp_path) as s2:
             with pytest.raises(StoreError, match=r"c\.ndjson:2: .*'createdAt': '2013-09-01T00:00:02' has no UTC offset"):
                 s2.scan("c")
+
+    @pytest.mark.parametrize("use", ["count", "ids", "dehydrate"])
+    def test_ledger_refuses_a_created_at_without_utc_offset(self, tmp_path, use):
+        # the rows a scan refuses are neither counted nor exported
+        with CorpusStore(tmp_path) as s:
+            for i in (1, 2, 3):
+                s.append(make_tweet(i), "c", stored_at=BASE)
+        change_second_row(tmp_path / "c.ndjson", createdAt="2013-09-01T00:00:02")
+        with CorpusStore(tmp_path) as s2:
+            with pytest.raises(StoreError, match=r"c\.ndjson:2: .*'createdAt': '2013-09-01T00:00:02' has no UTC offset"):
+                if use == "dehydrate":
+                    dehydrate(s2, "c", tmp_path / "c.ids")
+                else:
+                    getattr(s2, use)("c")
+        assert not (tmp_path / "c.ids").exists()
 
 
 class TestTornTail:

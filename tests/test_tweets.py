@@ -1,15 +1,20 @@
 """Tweet model: parsing, serialization, entity extraction, validation."""
 
+import ast
+import dataclasses
 import json
 import random
 import re
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tweetcorpus
 from tweetcorpus.errors import ConfigError, ParseError, SchemaError
+from tweetcorpus.store import StoredTweet
 from tweetcorpus.tweets import (
     HashtagEntity,
     MentionEntity,
@@ -183,6 +188,86 @@ class TestSerialize:
         rng = random.Random(seed)
         t = make_random_record(rng, data.draw(st.integers(1, 2**62)))
         assert parse_tweet(serialize_tweet(t)) == t
+
+
+RECORD_FIELDS = frozenset(f.name for cls in (TweetRecord, HashtagEntity, MentionEntity, StoredTweet)
+                          for f in dataclasses.fields(cls))
+
+
+def record_field_writes(source: str) -> list[int]:
+    """Lines of ``source`` that set or delete a record field name on anything
+    but ``self``: by assignment, ``setattr``, ``delattr`` or a ``__setattr__``
+    call (a name that is not a literal counts, as it may be a field's)."""
+    def attributes(target):
+        if isinstance(target, (ast.Tuple, ast.List)):
+            return [a for t in target.elts for a in attributes(t)]
+        if isinstance(target, ast.Starred):
+            return attributes(target.value)
+        return [target] if isinstance(target, ast.Attribute) else []
+
+    def not_self(node):
+        return not (isinstance(node, ast.Name) and node.id == "self")
+
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign, ast.For)):
+            targets = [node.target]
+        else:
+            targets = []
+        lines += [a.lineno for t in targets for a in attributes(t)
+                  if a.attr in RECORD_FIELDS and not_self(a.value)]
+        if isinstance(node, ast.Call) and len(node.args) >= 2 and (
+                isinstance(node.func, ast.Name) and node.func.id in ("setattr", "delattr")
+                or isinstance(node.func, ast.Attribute) and node.func.attr == "__setattr__"):
+            name = node.args[1]
+            literal = isinstance(name, ast.Constant) and isinstance(name.value, str)
+            if not_self(node.args[0]) and (not literal or name.value in RECORD_FIELDS):
+                lines.append(node.lineno)
+    return lines
+
+
+class TestRecords:
+    """Records are plain slotted dataclasses: mutable by type, so the package
+    must never set a field of one after construction."""
+
+    def test_records_are_slotted_unhashable_and_equal_by_value(self):
+        t = TweetRecord(id=1, user_id=2, screen_name="a", created_at=utc(2013, 6, 1), text="hi")
+        assert not hasattr(t, "__dict__")
+        with pytest.raises(TypeError):
+            hash(t)
+        assert dataclasses.replace(t) == t and dataclasses.replace(t, text="ho") != t
+
+    @pytest.mark.parametrize("source", [
+        "t.text = 'x'",
+        "a, (row.tweet, b) = 1, (2, 3)",
+        "t.hashtags += ()",
+        "m.start: int = 0",
+        "del t.geo",
+        "for t.id in ids: pass",
+        "setattr(t, 'urls', ())",
+        "object.__setattr__(t, 'id', 1)",
+        "setattr(t, name, value)",
+    ])
+    def test_check_finds_a_record_field_set_on_another_object(self, source):
+        assert record_field_writes(source) == [1]
+
+    @pytest.mark.parametrize("source", [
+        "self.hashtags = ()",
+        "object.__setattr__(self, 'hashtags', tuple(self.hashtags))",
+        "object.__setattr__(self, name, frozenset(getattr(self, name)))",
+        "t.other = 1",
+        "setattr(t, 'other', 1)",
+        "x = t.text",
+    ])
+    def test_check_allows_self_and_other_names(self, source):
+        assert record_field_writes(source) == []
+
+    def test_no_package_module_sets_a_record_field(self):
+        found = {path.name: lines for path in sorted(Path(tweetcorpus.__file__).parent.glob("*.py"))
+                 if (lines := record_field_writes(path.read_text(encoding="utf-8")))}
+        assert found == {}
 
 
 class TestExtractEntities:
