@@ -8,13 +8,12 @@ Run from the repository root:
     python3 configs/generate.py
 """
 
-import json
 from datetime import datetime, timezone
 from pathlib import Path
 
 from tweetcorpus.roster import CandidateRecord, VerifiedLink, export_candidates
 from tweetcorpus.sim import build_scenario, bundestag_mini, config_to_obj
-from tweetcorpus.tweets import format_timestamp
+from tweetcorpus.tweets import format_timestamp, write_json
 
 HERE = Path(__file__).resolve().parent
 
@@ -22,7 +21,7 @@ STATES = ("BW", "BY", "BE", "BB", "HE", "NW", "SN", "SH")
 
 
 def dump(name, doc):
-    (HERE / name).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(HERE / name, doc)
     print(f"wrote {HERE / name}")
 
 

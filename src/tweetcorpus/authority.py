@@ -19,7 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import AnalysisError, ConfigError
-from .tweets import int_cell, json_field, load_json_config, write_json
+from .tweets import int_cell, json_field, load_json_config, read_text, write_json
 
 RULES = ("gatekeepers", "journalists", "editors")
 
@@ -69,9 +69,10 @@ class AuthorityResult:
 def _as_fraction(value) -> Fraction:
     # Fraction(str(float)) keeps the decimal the caller wrote, not the
     # binary approximation (0.25 -> 1/4, 0.1 -> 1/10).
-    if isinstance(value, float):
-        return Fraction(str(value))
-    return Fraction(value)
+    try:
+        return Fraction(str(value)) if isinstance(value, float) else Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"threshold {value!r} is not a number such as 0.25 or 1/4") from exc
 
 
 def derive_information_authorities(graph: FollowGraph, threshold=Fraction(1, 4)) -> AuthorityResult:
@@ -227,7 +228,7 @@ def write_follow_graph(graph: FollowGraph, edges_path, groups_path):
 
 def load_follow_graph(edges_path, groups_path) -> FollowGraph:
     edges = set()
-    for lineno, line in enumerate(Path(edges_path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(read_text(edges_path).splitlines(), start=1):
         if not line.strip():
             continue
         try:

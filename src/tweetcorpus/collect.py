@@ -16,8 +16,9 @@ from pathlib import Path
 from . import __version__
 from .corpus import CorpusDefinition, account_from_obj
 from .errors import ConfigError
-from .observer import AmendmentEvent, AmendmentPlan, ObserverInstance, _widened, run_observer
-from .probes import DEFAULT_INTERVAL, CompletenessReport, compute_completeness, inject_probes, report_json, write_probe_log
+from .observer import NOT_RECOVERABLE, AmendmentEvent, AmendmentPlan, ObserverInstance, _widened, run_observer
+from .probes import (DEFAULT_INTERVAL, CompletenessReport, compute_completeness, inject_probes, probe_carriers,
+                     report_json, write_probe_log)
 from .sim import Scenario, open_source
 from .store import CORPUS_NAME_RE
 from .tweets import format_timestamp, json_field, json_value, load_json_config, object_list, write_json
@@ -50,10 +51,10 @@ class RunManifest:
     started_at: datetime
     ended_at: datetime
     configs: tuple[tuple[str, str], ...]          # (path, sha256) pairs
-    corpora: tuple[ObserverInstance, ...] = ()
-    completeness: tuple[CompletenessReport, ...] = ()
-    status: str = "ok"
-    error: str | None = None
+    corpora: tuple[ObserverInstance, ...]
+    completeness: tuple[CompletenessReport, ...]
+    status: str                                   # "ok" or "failed"
+    error: str | None
 
     @property
     def amendments(self) -> tuple[AmendmentEvent, ...]:
@@ -86,7 +87,7 @@ def _counters_json(snap: ObserverInstance) -> dict:
         "matched": snap.matched,
         "observerId": snap.observer_id,
         "seen": snap.seen,
-        "state": snap.state,
+        "state": "stopped",  # snapshots are taken after the run
         "stored": snap.stored,
     }
 
@@ -106,7 +107,7 @@ def _amendment_json(ev: AmendmentEvent) -> dict:
             for b in ev.backfill
         ],
         "corpus": ev.corpus,
-        "limitation": ev.limitation,
+        "limitation": NOT_RECOVERABLE,
     }
 
 
@@ -202,8 +203,10 @@ def append_amendment(path, sa: ScheduledAmendment, definitions) -> int:
 
 def validate_names(definitions, probe_plans, amendments) -> dict[str, CorpusDefinition]:
     """The run's corpora by name.  Names must be unique and usable as store
-    file names, every probe plan and amendment must name one of them, and each
-    corpus's amendments must apply in ``at`` order, as its observer will apply them."""
+    file names, every probe plan and amendment must name one of them, a corpus
+    has at most one probe plan and its carriers must be ones the run can post,
+    and each corpus's amendments must apply in ``at`` order, as its observer
+    will apply them."""
     if not definitions:
         raise ConfigError("a run needs at least one corpus definition")
     defs: dict[str, CorpusDefinition] = {}
@@ -213,9 +216,14 @@ def validate_names(definitions, probe_plans, amendments) -> dict[str, CorpusDefi
         if d.name in defs:
             raise ConfigError(f"duplicate corpus name {d.name!r}")
         defs[d.name] = d
+    probed = set()
     for plan in probe_plans:
         if plan.corpus not in defs:
             raise ConfigError(f"probe plan references unknown corpus {plan.corpus!r}")
+        if plan.corpus in probed:
+            raise ConfigError(f"corpus {plan.corpus!r} has more than one probe plan")
+        probed.add(plan.corpus)
+        probe_carriers(defs[plan.corpus], plan.interval, plan.count)
     for sa in amendments:
         if sa.corpus not in defs:
             raise ConfigError(f"amendment references unknown corpus {sa.corpus!r}")
@@ -254,16 +262,7 @@ def collect_run(scenario: Scenario, definitions, store, *, probe_plans=(), amend
     handles = []
     probes_by_corpus: dict[str, list] = {}
     reports: list[CompletenessReport] = []
-
-    def build(status: str, error: str | None, snaps) -> RunManifest:
-        return RunManifest(
-            run_id=run_id, tool_version=__version__, seed=scenario.config.seed,
-            started_at=scenario.start, ended_at=scenario.end, configs=config_pairs,
-            corpora=tuple(sorted(snaps, key=lambda s: s.corpus)),
-            completeness=tuple(sorted(reports, key=lambda r: r.corpus)),
-            status=status, error=error,
-        )
-
+    error = None
     try:
         for name in sorted(defs):
             store.ensure_corpus(name)
@@ -272,6 +271,7 @@ def collect_run(scenario: Scenario, definitions, store, *, probe_plans=(), amend
             probes_by_corpus[plan.corpus] = probes
             if logs_dir is not None and probes:
                 write_probe_log(probes, logs_dir / f"probes-{plan.corpus}.ndjson")
+        # observers run, and reports are made, in sorted corpus order: the manifest's order
         for name in sorted(defs):
             run_log = logs_dir / f"observer-{name}.ndjson" if logs_dir is not None else None
             plans = tuple(sa.plan for sa in amendments if sa.corpus == name)
@@ -285,11 +285,16 @@ def collect_run(scenario: Scenario, definitions, store, *, probe_plans=(), amend
             if probes_by_corpus[name]:
                 reports.append(compute_completeness(store, probes_by_corpus[name], window=defs[name].window))
     except Exception as exc:
-        manifest = build("failed", f"{type(exc).__name__}: {exc}", [h.snapshot() for h in handles])
-        if manifest_path is not None:
-            write_manifest(manifest, manifest_path)
-        raise
-    manifest = build("ok", None, [h.snapshot() for h in handles])
+        error = exc
+    manifest = RunManifest(
+        run_id=run_id, tool_version=__version__, seed=scenario.config.seed,
+        started_at=scenario.start, ended_at=scenario.end, configs=config_pairs,
+        corpora=tuple(h.snapshot() for h in handles), completeness=tuple(reports),
+        status="ok" if error is None else "failed",
+        error=None if error is None else f"{type(error).__name__}: {error}",
+    )
     if manifest_path is not None:
         write_manifest(manifest, manifest_path)
+    if error is not None:
+        raise error
     return manifest

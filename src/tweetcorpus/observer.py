@@ -89,7 +89,6 @@ class AmendmentEvent:
     added_accounts: tuple[tuple[int, str], ...]
     added_keywords: tuple[str, ...]
     backfill: tuple[BackfillSummary, ...]
-    limitation: str = NOT_RECOVERABLE
 
 
 @dataclass(frozen=True)
@@ -104,11 +103,10 @@ class AmendmentPlan:
 
 @dataclass(frozen=True)
 class ObserverInstance:
-    """Point-in-time snapshot of one observer's state and counters."""
+    """One observer's counters, taken after its run."""
 
     observer_id: str
     corpus: str
-    state: str  # always "stopped": snapshots are taken after the run
     seen: int
     matched: int
     stored: int
@@ -173,7 +171,6 @@ class ObserverHandle:
         return ObserverInstance(
             observer_id=self.observer_id,
             corpus=self._definition.name,
-            state="stopped",
             seen=self._seen,
             matched=self._matched,
             stored=self._stored,

@@ -26,6 +26,7 @@ from .corpus import (
     MetadataQuery,
     TimeWindow,
     matches,
+    text_tokens,
 )
 from .errors import AnalysisError, ConfigError
 from .tweets import TweetRecord, extract_entities, format_timestamp, json_field, json_line, read_ndjson
@@ -48,11 +49,10 @@ class ProbeRecord:
 
 @dataclass(frozen=True)
 class IntervalOutcome:
-    """Probe fate within one injection interval."""
+    """Probe fate within one injection interval, which holds one created probe."""
 
     start: datetime
     end: datetime
-    created: int
     stored: int
 
 
@@ -72,59 +72,48 @@ def _marker(corpus: str, seq: int, at: datetime) -> str:
 
 
 def _carrier(definition: CorpusDefinition, marker: str, at: datetime) -> TweetRecord:
-    """Build a tweet that the corpus matcher must accept."""
+    """Build a tweet that the corpus matcher must accept: its strategy's
+    query and every metadata constraint, the strategy's and the corpus's."""
     s = definition.strategy
     words = ["kontrolle", marker, "#" + marker]
-    geo = None
-    language = None
-    urls = ()
-    is_retweet = False
-    has_image = False
     if isinstance(s, KeywordQuery):
         if s.hashtags:
             words.append("#" + s.hashtags[0])
-        else:
-            words.append(s.terms[0])
+        else:  # a term without tokens matches no text
+            words.append(next((t for t in s.terms if text_tokens(t)), s.terms[0]))
     elif isinstance(s, AccountQuery):
         if PROBE_AUTHOR[0] not in s.user_ids:
             raise ConfigError(
                 f"{definition.name}: probe author {PROBE_AUTHOR[1]} is not on the account list; "
                 "add the measurement account to the corpus before probing"
             )
-    elif isinstance(s, MetadataQuery):
-        if s.country:
-            geo = (51.0, 10.0, s.country)
-        if s.languages:
-            language = sorted(s.languages)[0]
-        if "must_have_url" in s.format:
-            urls = (f"https://t.co/{marker}",)
-            words.append(urls[0])
-        if "retweets_only" in s.format:
-            is_retweet = True
-        if "must_have_image" in s.format:
-            has_image = True
-    else:
+    elif not isinstance(s, MetadataQuery):
         raise ConfigError(
             f"{definition.name}: a random-sample corpus cannot be probed; "
             "acceptance is decided by the id the source assigns"
         )
-    text = " ".join(words)
+    # conflicting constraints (two countries, disjoint languages) leave a
+    # carrier that the matcher refuses
+    constraints = [q for q in (s, definition.extra_metadata) if isinstance(q, MetadataQuery)]
+    country = next((q.country for q in constraints if q.country is not None), None)
+    languages = [q.languages for q in constraints if q.languages is not None]
+    flags = frozenset().union(*(q.format for q in constraints))
+    urls = (f"https://t.co/{marker}",) if "must_have_url" in flags else ()
+    text = " ".join(words + list(urls))
     hashtags, mentions = extract_entities(text)
     return TweetRecord(
         id=0, user_id=PROBE_AUTHOR[0], screen_name=PROBE_AUTHOR[1], created_at=at, text=text,
-        hashtags=hashtags, mentions=mentions, urls=urls, is_retweet=is_retweet,
-        geo=geo, language=language, has_image=has_image,
+        hashtags=hashtags, mentions=mentions, urls=urls, is_retweet="retweets_only" in flags,
+        geo=(51.0, 10.0, country) if country is not None else None,
+        language=min(frozenset.intersection(*languages), default=None) if languages else None,
+        has_image="must_have_image" in flags,
     )
 
 
-def inject_probes(definition: CorpusDefinition, source, interval: timedelta = DEFAULT_INTERVAL,
-                  count: int = 1) -> list[ProbeRecord]:
-    """Post ``count`` probes by ``PROBE_AUTHOR``, one per ``interval``,
-    starting one interval after the corpus window start.
-
-    Every carrier is checked against the corpus matcher before posting.
-    A refused post aborts the whole injection; no partial log is returned.
-    """
+def probe_carriers(definition: CorpusDefinition, interval: timedelta, count: int) -> list[tuple[str, TweetRecord]]:
+    """The ``(marker, carrier)`` of each of ``count`` probes, one per
+    ``interval`` from one interval after the corpus window start, each
+    checked against the corpus matcher; posts nothing."""
     if count < 0:
         raise ConfigError(f"probe count must be >= 0, got {count}")
     if interval <= timedelta(0):
@@ -140,8 +129,17 @@ def inject_probes(definition: CorpusDefinition, source, interval: timedelta = DE
                 f"(injected_at {format_timestamp(at)})"
             )
         carriers.append((marker, carrier))
+    return carriers
+
+
+def inject_probes(definition: CorpusDefinition, source, interval: timedelta = DEFAULT_INTERVAL,
+                  count: int = 1) -> list[ProbeRecord]:
+    """Post the ``probe_carriers`` of ``definition`` by ``PROBE_AUTHOR``.
+
+    A refused post aborts the whole injection; no partial log is returned.
+    """
     records = []
-    for i, (marker, carrier) in enumerate(carriers):
+    for i, (marker, carrier) in enumerate(probe_carriers(definition, interval, count)):
         assigned = source.post_probe(carrier)
         records.append(ProbeRecord(
             probe_id=i, corpus=definition.name, injected_at=carrier.created_at,
@@ -170,7 +168,7 @@ def compute_completeness(store, probes, window: TimeWindow) -> CompletenessRepor
         end = in_window[i + 1].injected_at if i + 1 < len(in_window) else window.end
         hit = 1 if p.carrier_id in found else 0
         stored_total += hit
-        intervals.append(IntervalOutcome(start=p.injected_at, end=end, created=1, stored=hit))
+        intervals.append(IntervalOutcome(start=p.injected_at, end=end, stored=hit))
     return CompletenessReport(
         corpus=corpus,
         window=window,
@@ -195,7 +193,7 @@ def report_json(report: CompletenessReport) -> dict:
             {
                 "start": format_timestamp(iv.start),
                 "end": format_timestamp(iv.end),
-                "created": iv.created,
+                "created": 1,
                 "stored": iv.stored,
             }
             for iv in report.intervals

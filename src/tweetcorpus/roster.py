@@ -17,13 +17,14 @@ the professional flag.
 from __future__ import annotations
 
 import csv
+import io
 import random
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 from .errors import ConfigError
-from .tweets import format_timestamp, int_cell, json_field, json_value, load_json_config, write_json
+from .tweets import format_timestamp, int_cell, json_field, json_value, load_json_config, read_text, write_json
 
 EVIDENCE_KINDS = frozenset({"party_reference", "website_link", "image_or_constituency_match"})
 CANDIDATURES = ("direct", "list", "both")
@@ -207,7 +208,7 @@ def load_roster(path) -> Roster:
     sidecar_file = _sidecar_path(path)
     sidecar = load_json_config(sidecar_file) if sidecar_file.exists() else {}
     candidates = []
-    with open(path, encoding="utf-8", newline="") as fh:
+    with io.StringIO(read_text(path), newline="") as fh:
         reader = csv.DictReader(fh)
         missing = set(ROSTER_HEADER) - set(reader.fieldnames or ())
         if missing:

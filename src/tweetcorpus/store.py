@@ -50,6 +50,7 @@ from .tweets import (
     json_line,
     parse_timestamp,
     read_ndjson,
+    read_text,
     tweet_from_dict,
     tweet_to_dict,
 )
@@ -311,8 +312,7 @@ def dehydrate(store: CorpusStore, corpus: str, path, roster_index: dict[int, str
 
 def read_dehydrated(path) -> tuple[str, datetime, list[tuple[int, str | None]]]:
     """Parse an ID-list file; malformed content is reported with its line."""
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
+    lines = read_text(path).splitlines()
     if not lines:
         raise ParseError(f"{path}:1: empty file, expected header")
     m = _HEADER_RE.match(lines[0])

@@ -402,13 +402,22 @@ def read_ndjson(path, row):
             yield value
 
 
+def read_text(path) -> str:
+    """The text of the UTF-8 file at ``path``, its line ends as written; a
+    file that cannot be read or is not UTF-8 is a ConfigError naming it."""
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
 def load_json_config(path, build=dict):
     """``build(doc)`` for the JSON document at ``path``, whose top level must
     be an object; every error names the file."""
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from exc
+        doc = json.loads(read_text(path))
     except ValueError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
     return json_value(doc, build, str(path))

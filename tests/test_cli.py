@@ -622,6 +622,57 @@ class TestExitCodes:
         assert code == 5
         assert json.loads(err.strip().splitlines()[-1])["category"] == "analysis"
 
+    @pytest.mark.parametrize("threshold", ["abc", "1/0", "nan"])
+    def test_threshold_that_is_not_a_number_is_2_and_named(self, env, capsys, threshold):
+        code, out, err = run_cli(capsys, "authorities", "--graph", env["world"] / "follows.tsv",
+                                 "--groups", env["world"] / "groups.json", "--threshold", threshold)
+        assert code == 2 and out == ""
+        last = json.loads(err.strip().splitlines()[-1])
+        assert last["category"] == "config" and f"threshold {threshold!r}" in last["message"]
+
+    # a text input that is not UTF-8 (here Latin-1) exits 2 and names the file
+    @pytest.mark.parametrize("reader", ["roster", "follow graph", "id list"])
+    def test_input_that_is_not_utf8_is_2_and_named(self, env, tmp_path, capsys, reader):
+        if reader == "roster":
+            path = tmp_path / "roster.csv"
+            write_small_roster(path, env["scenario"])
+            path.write_bytes(path.read_bytes().replace(b"Kandidat 1", "Kandidat Müller".encode("latin-1")))
+            argv = ("roster", "load", "--roster", path)
+        elif reader == "follow graph":
+            path = tmp_path / "follows.tsv"
+            path.write_bytes((env["world"] / "follows.tsv").read_bytes() + "# Müller\n".encode("latin-1"))
+            argv = ("authorities", "--graph", path, "--groups", env["world"] / "groups.json")
+        else:
+            path = tmp_path / "c.ids"
+            path.write_bytes(b"# corpus:c generated:2013-09-01T00:00:00Z\n" + "5\tM\u00fcller\n".encode("latin-1"))
+            argv = ("store", "rehydrate", "--world", env["world"], "--ids", path, "--out", tmp_path / "c.ndjson")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        last = json.loads(err.strip().splitlines()[-1])
+        assert last["category"] == "config" and f"{path} is not UTF-8 text" in last["message"]
+
+    # a probe plan that the run would refuse fails before it logs, stores or writes a manifest
+    @pytest.mark.parametrize("plans, message", [
+        ([{"corpus": "tag", "count": 3, "intervalSeconds": 600}, {"corpus": "tag", "count": 2, "intervalSeconds": 300}],
+         "corpus 'tag' has more than one probe plan"),
+        ([{"corpus": "zufall", "count": 3}], "random-sample corpus cannot be probed"),
+    ], ids=["twice", "random"])
+    def test_probe_plan_the_run_would_refuse_is_2_before_any_file(self, env, tmp_path, capsys, plans, message):
+        corpora = tmp_path / "corpora.json"
+        doc = json.loads(env["corpora"].read_text(encoding="utf-8"))
+        window = doc["corpora"][0]["window"]
+        doc["corpora"].append({"name": "zufall", "window": window, "strategy": {"kind": "random", "rate": 0.1}})
+        corpora.write_text(json.dumps(doc), encoding="utf-8")
+        probes = tmp_path / "probes.json"
+        probes.write_text(json.dumps({"probes": plans}), encoding="utf-8")
+        code, _, err = run_cli(capsys, "collect", "run", "--world", env["world"], "--corpora", corpora,
+                               "--probes", probes, "--store", tmp_path / "store", "--manifest", tmp_path / "m.json")
+        assert code == 2
+        events = [json.loads(line) for line in err.strip().splitlines()]
+        assert events[-1]["category"] == "config" and message in events[-1]["message"]
+        assert "runStarted" not in [e["event"] for e in events]
+        assert not (tmp_path / "m.json").exists() and not (tmp_path / "store").exists()
+
     def test_refused_probe_post_is_3(self, tmp_path, capsys):
         s, world, _, _ = build_world(tmp_path, seed=5)
         long_window = {"start": format_timestamp(s.start),

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import shutil
 from datetime import timedelta
 
 import pytest
@@ -17,11 +18,20 @@ from tweetcorpus.collect import (
     derive_run_id,
     file_hash,
     load_json_config,
+    manifest_json,
     manifest_table,
     probe_plans_from_obj,
+    validate_names,
 )
-from tweetcorpus.corpus import AccountQuery, CorpusDefinition, KeywordQuery, TimeWindow
-from tweetcorpus.errors import ConfigError, StoreError
+from tweetcorpus.corpus import (
+    AccountQuery,
+    CorpusDefinition,
+    KeywordQuery,
+    MetadataQuery,
+    RandomSampleQuery,
+    TimeWindow,
+)
+from tweetcorpus.errors import AnalysisError, ConfigError, StoreError
 from tweetcorpus.observer import AmendmentPlan
 from tweetcorpus.sim import EmergentParty, FaultSchedule, build_scenario, bundestag_mini
 from tweetcorpus.store import CorpusStore, dehydrate
@@ -72,8 +82,8 @@ class TestCollectRun:
             m = collect_run(s, defs, store)
             assert m.status == "ok" and m.error is None
             assert [c.corpus for c in m.corpora] == ["kand", "tag"]
+            assert [c["state"] for c in manifest_json(m)["corpora"]] == ["stopped", "stopped"]
             for snap, d in zip(m.corpora, defs):
-                assert snap.state == "stopped"
                 assert snap.stored == store.count(d.name)
                 assert snap.matched == snap.stored + snap.duplicates
                 assert {r.tweet.id for r in store.scan(d.name)} == oracle_ids(s, d)
@@ -127,6 +137,7 @@ class TestCollectRun:
         assert ev.at == s.emergence_time
         assert set(ev.added_accounts) == set(added)
         assert len(ev.backfill) == len(added)
+        assert "not recoverable" in manifest_json(m)["amendments"][0]["limitation"]
 
     def test_probed_corpus_that_stores_nothing_reports_zero(self, tmp_path):
         s = build_scenario(bundestag_mini(n_tweets=500, faults=FaultSchedule(probe_drop_rate=1.0)))
@@ -233,6 +244,29 @@ class TestFailureManifest:
                 collect_run(s, [], store, manifest_path=manifest_path)
         assert not manifest_path.exists()
 
+    # (probe plans, error, message): each is refused before a corpus is registered or a row stored
+    @pytest.mark.parametrize("plans, error, message", [
+        ([ProbePlan("tag", 3, timedelta(minutes=10)), ProbePlan("tag", 2, timedelta(minutes=5))],
+         ConfigError, "corpus 'tag' has more than one probe plan"),
+        ([ProbePlan("zufall", 1)], ConfigError, "random-sample"),
+        ([ProbePlan("kand", 1)], ConfigError, "not on the account list"),
+        ([ProbePlan("leer", 1)], AnalysisError, "does not match its own corpus"),
+    ], ids=["twice", "random", "account", "conflicting"])
+    def test_probe_plan_the_run_cannot_post_is_refused_before_any_row(self, tmp_path, plans, error, message):
+        s = world()
+        window = TimeWindow(s.start, s.end)
+        defs = [candidate_def(s), keyword_def(s),
+                CorpusDefinition("zufall", RandomSampleQuery(rate=0.5, seed=1), window),
+                CorpusDefinition("leer", MetadataQuery(country="DE"), window, extra_metadata=MetadataQuery(country="AT"))]
+        manifest_path = tmp_path / "manifest.json"
+        with CorpusStore(tmp_path / "store") as store:
+            with pytest.raises(error, match=message):
+                collect_run(s, defs, store, probe_plans=plans, manifest_path=manifest_path)
+            assert store.corpora() == []
+        assert not manifest_path.exists()
+        with pytest.raises(error, match=message):
+            validate_names(defs, plans, ())
+
     @pytest.mark.parametrize("case", ["observed", "twice in one", "again later", "keyword corpus"])
     def test_amendment_that_cannot_apply_is_refused_before_any_row(self, tmp_path, case):
         s = world()
@@ -261,6 +295,79 @@ class TestFailureManifest:
         assert message in str(caught.value)
         assert list((tmp_path / "store").glob("*.ndjson")) == []
         assert not manifest_path.exists()
+
+
+class FailingAt(CorpusStore):
+    """Store whose ``fail_at``-th append, counted over all corpora from 1, fails."""
+
+    def __init__(self, root, fail_at):
+        super().__init__(root)
+        self.fail_at, self.calls = fail_at, 0
+
+    def append(self, tweet, corpus, **kw):
+        self.calls += 1
+        if self.calls == self.fail_at:
+            raise StoreError(f"append {self.calls} refused")
+        return super().append(tweet, corpus, **kw)
+
+
+class TestRerunAfterFailure:
+    """A run that stopped half-way, rerun with the same inputs on the same
+    store, leaves the clean run's store and accounts for the rows it met."""
+
+    def run(self, s, root, store_cls=CorpusStore, **kw):
+        added = tuple((a.user_id, a.screen_name) for a in s.accounts_of_kind("emergent"))
+        with store_cls(root / "store", **kw) as store:
+            try:
+                collect_run(s, [candidate_def(s), keyword_def(s)], store,
+                            probe_plans=[ProbePlan("tag", 4, timedelta(minutes=10))],
+                            amendments=[ScheduledAmendment("kand", AmendmentPlan(at=s.emergence_time, accounts=added))],
+                            manifest_path=root / "manifest.json", logs_dir=root / "logs")
+            except StoreError:
+                pass
+        return load_json_config(root / "manifest.json")
+
+    @staticmethod
+    def corpus_files(root):
+        return {p.name: p.read_bytes() for p in (root / "store").glob("*.ndjson")}
+
+    @staticmethod
+    def duplicate_events(root, corpus):
+        lines = (root / "logs" / f"observer-{corpus}.ndjson").read_text(encoding="utf-8").splitlines()
+        return sum(json.loads(line)["event"] == "duplicate" for line in lines)
+
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_rerun_after_a_failed_append_gives_the_clean_store(self, tmp_path, where):
+        s = world()
+        clean = self.run(s, tmp_path / "clean")
+        total = sum(c["matched"] for c in clean["corpora"])
+        fail_at = {"first": 1, "middle": total // 2, "last": total}[where]
+        assert self.run(s, tmp_path / "rerun", FailingAt, fail_at=fail_at)["status"] == "failed"
+        before = {name: data.count(b"\n") for name, data in self.corpus_files(tmp_path / "rerun").items()}
+        assert before != {name: data.count(b"\n") for name, data in self.corpus_files(tmp_path / "clean").items()}
+
+        rerun = self.run(s, tmp_path / "rerun")
+        assert rerun["status"] == "ok"
+        assert self.corpus_files(tmp_path / "rerun") == self.corpus_files(tmp_path / "clean")
+        for was, now in zip(clean["corpora"], rerun["corpora"]):
+            rows = before[f"{was['corpus']}.ndjson"]
+            assert now["duplicates"] == was["duplicates"] + rows
+            assert (self.duplicate_events(tmp_path / "rerun", now["corpus"])
+                    == self.duplicate_events(tmp_path / "clean", was["corpus"]) + rows)
+
+    def test_rerun_after_a_torn_final_line_gives_the_clean_store(self, tmp_path):
+        s = world()
+        self.run(s, tmp_path / "clean")
+        shutil.copytree(tmp_path / "clean" / "store", tmp_path / "torn" / "store")
+        path = tmp_path / "torn" / "store" / "tag.ndjson"
+        data = path.read_bytes()
+        start = data.rindex(b"\n", 0, len(data) - 1) + 1
+        cut = start + (len(data) - start) // 2
+        path.write_bytes(data[:cut])
+
+        assert self.run(s, tmp_path / "torn")["status"] == "ok"
+        assert path.with_name("tag.ndjson.torn").read_bytes() == data[start:cut] + b"\n"
+        assert self.corpus_files(tmp_path / "torn") == self.corpus_files(tmp_path / "clean")
 
 
 class TestConfigParsing:

@@ -23,6 +23,7 @@ from tweetcorpus.probes import (
     PROBE_AUTHOR,
     compute_completeness,
     inject_probes,
+    probe_carriers,
     read_probe_log,
     report_json,
     write_probe_log,
@@ -110,6 +111,33 @@ class TestInjection:
             assert t.geo[2] == "DE" and t.language == "de" and t.urls
             assert matches(t, d) and oracle_matches(t, d)
 
+    @pytest.mark.parametrize("strategy, metadata", [
+        (KeywordQuery(hashtags=("wahl2013",)), MetadataQuery(languages=frozenset({"de"}))),
+        (KeywordQuery(terms=("!!!", "wahl")), None),
+        (MetadataQuery(country="DE"), MetadataQuery(languages=frozenset({"de", "en"}),
+                                                    format=frozenset({"must_have_url"}))),
+        (AccountQuery(accounts=(PROBE_AUTHOR,)), MetadataQuery(format=frozenset({"retweets_only"}))),
+    ], ids=["keywords-language", "tokenless-term", "metadata-both", "accounts-retweets"])
+    def test_probes_satisfy_the_corpus_metadata_and_a_usable_term(self, strategy, metadata):
+        s = world()
+        d = CorpusDefinition("c", strategy, TimeWindow(s.start, s.end), extra_metadata=metadata)
+        src = open_source(s)
+        probes = inject_probes(d, src, count=2)
+        assert [marker for marker, _ in probe_carriers(d, DEFAULT_INTERVAL, 2)] == [p.marker for p in probes]
+        for t in src.fetch_tweets([p.carrier_id for p in probes]):
+            assert matches(t, d) and oracle_matches(t, d)
+
+    # constraints no one tweet meets: disjoint languages, two countries
+    @pytest.mark.parametrize("strategy, metadata", [
+        (MetadataQuery(languages=frozenset({"en"})), MetadataQuery(languages=frozenset({"de"}))),
+        (MetadataQuery(country="DE"), MetadataQuery(country="AT")),
+    ], ids=["languages", "countries"])
+    def test_a_definition_no_carrier_can_meet_is_refused(self, strategy, metadata):
+        s = world()
+        d = CorpusDefinition("c", strategy, TimeWindow(s.start, s.end), extra_metadata=metadata)
+        with pytest.raises(AnalysisError, match="does not match its own corpus"):
+            probe_carriers(d, DEFAULT_INTERVAL, 1)
+
     def test_random_sample_corpus_is_refused(self):
         s = world()
         d = CorpusDefinition("zufall", RandomSampleQuery(rate=0.5, seed=3),
@@ -148,7 +176,7 @@ class TestCompleteness:
             probes = self.run_collection(s, d, store, count=10)
             report = compute_completeness(store, probes, TimeWindow(s.start, s.end))
         assert (report.created, report.stored, report.completeness) == (10, 10, 1.0)
-        assert all(iv.stored == iv.created == 1 for iv in report.intervals)
+        assert all(iv["stored"] == iv["created"] == 1 for iv in report_json(report)["intervals"])
 
     def test_probe_drop_rate_gives_exact_ratio(self, tmp_path):
         s = world(faults=FaultSchedule(probe_drop_rate=0.1))
