@@ -14,12 +14,11 @@ count with a per-wall breakdown.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import datetime
 from fractions import Fraction
 from pathlib import Path
 
 from .errors import AnalysisError, ConfigError
-from .tweets import int_cell, json_field, load_json_config, read_text, write_json
+from .tweets import TweetRecord, int_cell, json_field, load_json_config, read_text, write_json
 
 RULES = ("gatekeepers", "journalists", "editors")
 
@@ -156,11 +155,8 @@ def authority_report(result: AuthorityResult) -> dict:
 class WallPost:
     """A post or comment on some account's wall."""
 
-    post_id: int
     wall_owner_id: int
     author_id: int
-    kind: str = "post"
-    created_at: datetime | None = None
 
 
 @dataclass(frozen=True)
@@ -194,22 +190,30 @@ def engagement_table(posts) -> list[tuple[int, int, int]]:
     return [(a, len(walls[a]), depth[a]) for a in sorted(walls)]
 
 
-def wall_posts_from_tweets(tweets) -> list[WallPost]:
-    """Map a tweet set onto walls: a conversation root is a post on its
-    author's wall, a reply is a comment on the wall of the deepest
-    ancestor resolvable within the given set."""
+def conversation_roots(tweets) -> dict[int, TweetRecord]:
+    """Each tweet's id mapped to the root of its conversation: the furthest
+    ancestor its ``reply_to_id`` chain reaches within the given set, itself
+    when its parent is not in the set.  Every chain is walked on its own, so
+    the order of ``tweets`` does not matter; a walk that comes back to a
+    tweet it passed (a reply cycle) stops there."""
     by_id = {t.id: t for t in tweets}
-    posts = []
-    for t in sorted(by_id.values(), key=lambda t: t.id):
+    roots = {}
+    for t in by_id.values():
         root, hops = t, set()
         while root.reply_to_id in by_id and root.id not in hops:
             hops.add(root.id)
             root = by_id[root.reply_to_id]
-        posts.append(WallPost(
-            post_id=t.id, wall_owner_id=root.user_id, author_id=t.user_id,
-            kind="post" if root is t else "comment", created_at=t.created_at,
-        ))
-    return posts
+        roots[t.id] = root
+    return roots
+
+
+def wall_posts_from_tweets(tweets) -> list[WallPost]:
+    """Map a tweet set onto walls, in id order: a tweet is a post on the wall
+    of its conversation root's author (``conversation_roots``), so a root is
+    a post on its own author's wall and a reply a comment on another's."""
+    by_id = {t.id: t for t in tweets}
+    roots = conversation_roots(by_id.values())
+    return [WallPost(wall_owner_id=roots[i].user_id, author_id=by_id[i].user_id) for i in sorted(by_id)]
 
 
 # -- file IO -------------------------------------------------------------------

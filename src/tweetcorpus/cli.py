@@ -225,7 +225,7 @@ def cmd_store_privacy_filter(args):
 
 def cmd_store_export_candidates(args):
     if args.demo:
-        roster, _ = build_demo_roster(seed=args.seed if args.seed is not None else 20130922)
+        roster, _ = build_demo_roster(seed=args.seed)
     elif args.roster is not None:
         roster = load_roster(args.roster)
     else:
@@ -315,8 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Collect, probe, amend, analyze, and archive simulated social-media corpora.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="override the scenario seed wherever a scenario is built")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("sim", help="deterministic platform scenarios").add_subparsers(
@@ -324,6 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sim.add_parser("build", help="build a scenario from a config and write its world files")
     p.add_argument("--config", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
+    p.add_argument("--seed", type=int, default=None, help="override the config's scenario seed")
     p.set_defaults(func=cmd_sim_build)
     p = sim.add_parser("export", help="export oracle reference id sets for the given corpora")
     p.add_argument("--world", type=Path, required=True)
@@ -392,6 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = store.add_parser("export-candidates", help="write the candidate table and evidence sidecar")
     p.add_argument("--roster", type=Path, default=None)
     p.add_argument("--demo", action="store_true", help="export the synthetic demo roster instead")
+    p.add_argument("--seed", type=int, default=20130922, help="seed of the --demo roster")
     p.add_argument("--out", type=Path, required=True)
     p.set_defaults(func=cmd_store_export_candidates)
 

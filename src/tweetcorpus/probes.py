@@ -113,11 +113,17 @@ def _carrier(definition: CorpusDefinition, marker: str, at: datetime) -> TweetRe
 def probe_carriers(definition: CorpusDefinition, interval: timedelta, count: int) -> list[tuple[str, TweetRecord]]:
     """The ``(marker, carrier)`` of each of ``count`` probes, one per
     ``interval`` from one interval after the corpus window start, each
-    checked against the corpus matcher; posts nothing."""
+    checked against the corpus matcher; posts nothing.  A plan whose last
+    probe would fall at or after the window end is a ConfigError."""
     if count < 0:
         raise ConfigError(f"probe count must be >= 0, got {count}")
     if interval <= timedelta(0):
         raise ConfigError(f"probe interval must be positive, got {interval}")
+    if count and definition.window.start + interval * count >= definition.window.end:
+        raise ConfigError(
+            f"{definition.name}: {count} probes every {interval.total_seconds():g} s run past "
+            f"the window end {format_timestamp(definition.window.end)}"
+        )
     carriers = []
     for i in range(count):
         at = definition.window.start + interval * (i + 1)

@@ -26,7 +26,7 @@ from datetime import datetime, timedelta, timezone
 from itertools import accumulate
 from pathlib import Path
 
-from .authority import FollowGraph, load_follow_graph, write_follow_graph
+from .authority import FollowGraph, conversation_roots, load_follow_graph, write_follow_graph
 from .corpus import (
     CorpusDefinition,
     StreamQuery,
@@ -373,18 +373,11 @@ def ground_truth(scenario: Scenario, definition: CorpusDefinition) -> frozenset[
 def conversation_reference(scenario: Scenario, definition: CorpusDefinition) -> frozenset[int]:
     """All members of every conversation that contains at least one
     matching tweet: the 'whole topic' a keyword collection aims at but
-    cannot reach once replies drop the tag."""
-    roots: dict[int, int] = {}
-    by_id = {t.id: t for t in scenario.timeline}
-    for t in scenario.timeline:
-        if t.reply_to_id is not None and t.reply_to_id in roots:
-            roots[t.id] = roots[t.reply_to_id]
-        elif t.reply_to_id is not None and t.reply_to_id in by_id:
-            roots[t.id] = t.reply_to_id
-        else:
-            roots[t.id] = t.id
-    matched_roots = {roots[t.id] for t in scenario.timeline if matches(t, definition)}
-    return frozenset(t.id for t in scenario.timeline if roots[t.id] in matched_roots)
+    cannot reach once replies drop the tag.  A conversation is the tweets
+    that share a root (``conversation_roots``)."""
+    roots = conversation_roots(scenario.timeline)
+    matched_roots = {roots[t.id].id for t in scenario.timeline if matches(t, definition)}
+    return frozenset(i for i, root in roots.items() if root.id in matched_roots)
 
 
 @dataclass(frozen=True)
@@ -591,10 +584,12 @@ class SimStreamSource:
     # -- lookups ------------------------------------------------------------
 
     def backfill_timeline(self, user_id: int, since: datetime) -> list[TweetRecord]:
-        """Authored tweets from ``since`` on.  Authored only — a mention of
+        """Authored timeline tweets from ``since`` on, in ``(created_at, id)``
+        order whatever the world's line order.  Authored only — a mention of
         the account is not the account's timeline and can never be
         recovered this way."""
-        return [t for t in self.scenario.timeline if t.user_id == user_id and since <= t.created_at]
+        return [t for t, is_probe in self._events
+                if not is_probe and t.user_id == user_id and since <= t.created_at]
 
     def fetch_tweets(self, ids) -> list[TweetRecord]:
         wanted = set(ids)

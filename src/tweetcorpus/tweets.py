@@ -403,10 +403,11 @@ def read_ndjson(path, row):
 
 
 def read_text(path) -> str:
-    """The text of the UTF-8 file at ``path``, its line ends as written; a
-    file that cannot be read or is not UTF-8 is a ConfigError naming it."""
+    """The text of the UTF-8 file at ``path``, its line ends as written and
+    a leading byte-order mark dropped; a file that cannot be read or is not
+    UTF-8 is a ConfigError naming it."""
     try:
-        return Path(path).read_bytes().decode("utf-8")
+        return Path(path).read_bytes().decode("utf-8-sig")
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:

@@ -1,6 +1,7 @@
 """Follow-graph authority derivation and wall engagement metrics."""
 
 import random
+from datetime import datetime, timezone
 from fractions import Fraction
 
 import pytest
@@ -12,14 +13,17 @@ from tweetcorpus.authority import (
     FollowGraph,
     WallPost,
     authority_report,
+    conversation_roots,
     derive_information_authorities,
     engagement_breadth,
     engagement_depth,
     engagement_table,
     load_follow_graph,
+    wall_posts_from_tweets,
     write_follow_graph,
 )
 from tweetcorpus.errors import AnalysisError, ConfigError
+from tweetcorpus.tweets import TweetRecord
 
 
 # --- brute-force oracle (written before the implementation) -----------------
@@ -187,12 +191,12 @@ class TestErrors:
 
 class TestEngagement:
     def posts(self):
-        mk = lambda pid, wall, author, kind="post": WallPost(post_id=pid, wall_owner_id=wall, author_id=author, kind=kind)
+        mk = lambda wall, author: WallPost(wall_owner_id=wall, author_id=author)
         return [
-            mk(1, 10, 1), mk(2, 10, 1), mk(3, 10, 1, "comment"),
-            mk(4, 20, 1), mk(5, 30, 1),
-            mk(6, 20, 2, "comment"),
-        ] + [mk(100 + i, 10, 3) for i in range(10)]
+            mk(10, 1), mk(10, 1), mk(10, 1),
+            mk(20, 1), mk(30, 1),
+            mk(20, 2),
+        ] + [mk(10, 3) for _ in range(10)]
 
     def test_breadth_counts_distinct_walls(self):
         assert engagement_breadth(self.posts(), 1) == 3
@@ -210,9 +214,8 @@ class TestEngagement:
     def test_per_wall_sums_to_total(self):
         rng = random.Random(17)
         posts = [
-            WallPost(post_id=i, wall_owner_id=rng.randrange(5), author_id=rng.randrange(8),
-                     kind=rng.choice(["post", "comment"]))
-            for i in range(400)
+            WallPost(wall_owner_id=rng.randrange(5), author_id=rng.randrange(8))
+            for _ in range(400)
         ]
         for actor in range(8):
             d = engagement_depth(posts, actor)
@@ -223,8 +226,8 @@ class TestEngagement:
     def test_table_matches_group_by_oracle(self):
         rng = random.Random(18)
         posts = [
-            WallPost(post_id=i, wall_owner_id=rng.randrange(5), author_id=rng.randrange(8))
-            for i in range(300)
+            WallPost(wall_owner_id=rng.randrange(5), author_id=rng.randrange(8))
+            for _ in range(300)
         ]
         # independent group-by
         walls, counts = {}, {}
@@ -238,11 +241,58 @@ class TestEngagement:
     @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 9)), max_size=60))
     @settings(max_examples=150, deadline=None)
     def test_table_equals_per_actor_reference(self, pairs):
-        posts = [WallPost(post_id=i, wall_owner_id=wall, author_id=author)
-                 for i, (wall, author) in enumerate(pairs)]
+        posts = [WallPost(wall_owner_id=wall, author_id=author) for wall, author in pairs]
         want = [(a, engagement_breadth(posts, a), engagement_depth(posts, a).total)
                 for a in sorted({p.author_id for p in posts})]
         assert engagement_table(posts) == want
+
+
+def tweet(tweet_id, author, reply_to=None):
+    return TweetRecord(id=tweet_id, user_id=author, screen_name=f"u{author}",
+                       created_at=datetime(2013, 9, 1, tzinfo=timezone.utc), text="x", reply_to_id=reply_to)
+
+
+def oracle_root(tweet_id, by_id):
+    """Follow parents while they are in the set; ids only ever reply to
+    smaller ids here, so the chain ends."""
+    while by_id[tweet_id].reply_to_id in by_id:
+        tweet_id = by_id[tweet_id].reply_to_id
+    return tweet_id
+
+
+# a forest of tweets: each replies to nothing, to an earlier tweet, or to an
+# id outside the set (1000 + k); authors 0..4
+forests = st.lists(st.tuples(st.integers(0, 4), st.integers(-1, 40)), max_size=40).map(
+    lambda rows: [tweet(i, author, None if parent < 0 else parent if parent < i else 1000 + parent)
+                  for i, (author, parent) in enumerate(rows)])
+
+
+class TestWalls:
+    def test_reply_to_a_tweet_outside_the_set_is_a_root(self):
+        tweets = [tweet(1, 1), tweet(2, 2, 1), tweet(3, 3, 99), tweet(4, 4, 3)]
+        assert {i: r.id for i, r in conversation_roots(tweets).items()} == {1: 1, 2: 1, 3: 3, 4: 3}
+        assert [(p.wall_owner_id, p.author_id) for p in wall_posts_from_tweets(tweets)] == \
+            [(1, 1), (1, 2), (3, 3), (3, 4)]
+
+    def test_two_tweet_reply_cycle_terminates(self):
+        tweets = [tweet(1, 1, 2), tweet(2, 2, 1)]
+        assert {i: r.id for i, r in conversation_roots(tweets).items()} == {1: 1, 2: 2}
+        assert engagement_table(wall_posts_from_tweets(tweets)) == [(1, 1, 1), (2, 1, 1)]
+
+    @given(forests, st.randoms(use_true_random=False))
+    @settings(max_examples=150, deadline=None)
+    def test_roots_are_furthest_ancestors_in_any_order(self, tweets, rng):
+        by_id = {t.id: t for t in tweets}
+        roots = conversation_roots(tweets)
+        assert {i: r.id for i, r in roots.items()} == {i: oracle_root(i, by_id) for i in by_id}
+        shuffled = list(tweets)
+        rng.shuffle(shuffled)
+        assert conversation_roots(shuffled) == roots
+        posts = wall_posts_from_tweets(tweets)
+        assert posts == [WallPost(wall_owner_id=by_id[oracle_root(i, by_id)].user_id, author_id=by_id[i].user_id)
+                         for i in sorted(by_id)]
+        assert wall_posts_from_tweets(shuffled) == posts
+        assert engagement_table(wall_posts_from_tweets(shuffled)) == engagement_table(posts)
 
 
 class TestIO:

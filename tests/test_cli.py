@@ -101,7 +101,7 @@ class TestSim:
     def test_seed_flag_overrides_config(self, tmp_path, capsys):
         config = tmp_path / "scenario.json"
         config.write_text(bundestag_mini_config_text(), encoding="utf-8")
-        code, out, _ = run_cli(capsys, "--seed", "9", "sim", "build",
+        code, out, _ = run_cli(capsys, "sim", "build", "--seed", "9",
                                "--config", config, "--out", tmp_path / "w")
         assert code == 0
         assert json.loads(out)["seed"] == 9
@@ -292,7 +292,7 @@ class TestStore:
 
     def test_export_candidates_demo_round_trips(self, tmp_path, capsys):
         out_path = tmp_path / "demo.csv"
-        code, out, _ = run_cli(capsys, "--seed", "3", "store", "export-candidates",
+        code, out, _ = run_cli(capsys, "store", "export-candidates", "--seed", "3",
                                "--demo", "--out", out_path)
         assert code == 0
         assert json.loads(out)["candidates"] == 2346
@@ -656,7 +656,10 @@ class TestExitCodes:
         ([{"corpus": "tag", "count": 3, "intervalSeconds": 600}, {"corpus": "tag", "count": 2, "intervalSeconds": 300}],
          "corpus 'tag' has more than one probe plan"),
         ([{"corpus": "zufall", "count": 3}], "random-sample corpus cannot be probed"),
-    ], ids=["twice", "random"])
+        # the tenth probe would fall on the end of the 6000 s window
+        ([{"corpus": "tag", "count": 10, "intervalSeconds": 600}],
+         "tag: 10 probes every 600 s run past the window end 2013-09-01T01:40:00Z"),
+    ], ids=["twice", "random", "past-window"])
     def test_probe_plan_the_run_would_refuse_is_2_before_any_file(self, env, tmp_path, capsys, plans, message):
         corpora = tmp_path / "corpora.json"
         doc = json.loads(env["corpora"].read_text(encoding="utf-8"))
@@ -672,6 +675,22 @@ class TestExitCodes:
         assert events[-1]["category"] == "config" and message in events[-1]["message"]
         assert "runStarted" not in [e["event"] for e in events]
         assert not (tmp_path / "m.json").exists() and not (tmp_path / "store").exists()
+
+    # a leading UTF-8 byte-order mark, as spreadsheet programs write it, is not content
+    @pytest.mark.parametrize("reader", ["roster", "corpora"])
+    def test_leading_byte_order_mark_is_not_content(self, env, tmp_path, capsys, reader):
+        if reader == "roster":
+            path = tmp_path / "roster.csv"
+            write_small_roster(path, env["scenario"])
+            argv = ("roster", "load", "--roster", path)
+        else:
+            path = tmp_path / "corpora.json"
+            path.write_bytes(env["corpora"].read_bytes())
+            argv = ("sim", "export", "--world", env["world"], "--corpora", path)
+        code, plain, _ = run_cli(capsys, *argv)
+        assert code == 0
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert run_cli(capsys, *argv)[:2] == (0, plain)
 
     def test_refused_probe_post_is_3(self, tmp_path, capsys):
         s, world, _, _ = build_world(tmp_path, seed=5)
@@ -696,6 +715,16 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as e:
             main(["store", "vaporize"])
         assert e.value.code == 2
+        capsys.readouterr()
+
+    # only `sim build` and `store export-candidates` read a seed
+    def test_seed_before_a_command_that_reads_none_exits_2(self, env, tmp_path, capsys):
+        with pytest.raises(SystemExit) as e:
+            main([str(a) for a in ("--seed", "7", "collect", "run", "--world", env["world"],
+                                   "--corpora", env["corpora"], "--store", tmp_path / "store",
+                                   "--manifest", tmp_path / "run.json")])
+        assert e.value.code == 2
+        assert not (tmp_path / "run.json").exists()
         capsys.readouterr()
 
 

@@ -2,10 +2,16 @@
 
 import hashlib
 import json
+import math
 import shutil
+import tempfile
+from dataclasses import replace
 from datetime import timedelta
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from test_corpus import oracle_matches
 
@@ -194,6 +200,20 @@ class TestReproducibility:
         assert sorted(runs[0]) == ["observer-kand.ndjson", "observer-tag.ndjson"]
         assert runs[0] == runs[1]
 
+    def test_timeline_line_order_changes_no_store_byte(self, tmp_path):
+        s = world()
+        added = tuple((a.user_id, a.screen_name) for a in s.accounts_of_kind("emergent"))
+        amendment = ScheduledAmendment("kand", AmendmentPlan(at=s.emergence_time, accounts=added))
+        runs = []
+        for tag, scenario in (("in-order", s), ("reversed", replace(s, timeline=tuple(reversed(s.timeline))))):
+            with CorpusStore(tmp_path / tag) as store:
+                manifest = collect_run(scenario, [candidate_def(s), keyword_def(s)], store,
+                                       probe_plans=[ProbePlan("tag", 4, timedelta(minutes=10))],
+                                       amendments=[amendment])
+            runs.append((manifest_json(manifest), {p.name: p.read_bytes() for p in (tmp_path / tag).glob("*.ndjson")}))
+        assert max(b["recovered"] for b in runs[0][0]["amendments"][0]["backfill"]) > 1
+        assert runs[0] == runs[1]
+
     def test_run_id_depends_on_seed_and_configs(self):
         base = derive_run_id(1, ["aa"], ["kand"])
         assert derive_run_id(2, ["aa"], ["kand"]) != base
@@ -313,7 +333,9 @@ class FailingAt(CorpusStore):
 
 class TestRerunAfterFailure:
     """A run that stopped half-way, rerun with the same inputs on the same
-    store, leaves the clean run's store and accounts for the rows it met."""
+    store, leaves the clean run's store and accounts for the rows it met.
+    Where the run stopped is drawn; each example works in a directory of
+    its own."""
 
     def run(self, s, root, store_cls=CorpusStore, **kw):
         added = tuple((a.user_id, a.screen_name) for a in s.accounts_of_kind("emergent"))
@@ -336,38 +358,69 @@ class TestRerunAfterFailure:
         lines = (root / "logs" / f"observer-{corpus}.ndjson").read_text(encoding="utf-8").splitlines()
         return sum(json.loads(line)["event"] == "duplicate" for line in lines)
 
-    @pytest.mark.parametrize("where", ["first", "middle", "last"])
-    def test_rerun_after_a_failed_append_gives_the_clean_store(self, tmp_path, where):
+    @pytest.fixture(scope="class")
+    def clean(self, tmp_path_factory):
         s = world()
-        clean = self.run(s, tmp_path / "clean")
-        total = sum(c["matched"] for c in clean["corpora"])
-        fail_at = {"first": 1, "middle": total // 2, "last": total}[where]
-        assert self.run(s, tmp_path / "rerun", FailingAt, fail_at=fail_at)["status"] == "failed"
-        before = {name: data.count(b"\n") for name, data in self.corpus_files(tmp_path / "rerun").items()}
-        assert before != {name: data.count(b"\n") for name, data in self.corpus_files(tmp_path / "clean").items()}
+        root = tmp_path_factory.mktemp("clean")
+        return s, root, self.run(s, root)
 
-        rerun = self.run(s, tmp_path / "rerun")
+    def check_failed_append(self, clean, root, fail_at):
+        s, clean_root, manifest = clean
+        assert self.run(s, root, FailingAt, fail_at=fail_at)["status"] == "failed"
+        before = {name: data.count(b"\n") for name, data in self.corpus_files(root).items()}
+        assert before != {name: data.count(b"\n") for name, data in self.corpus_files(clean_root).items()}
+
+        rerun = self.run(s, root)
         assert rerun["status"] == "ok"
-        assert self.corpus_files(tmp_path / "rerun") == self.corpus_files(tmp_path / "clean")
-        for was, now in zip(clean["corpora"], rerun["corpora"]):
+        assert self.corpus_files(root) == self.corpus_files(clean_root)
+        for was, now in zip(manifest["corpora"], rerun["corpora"]):
             rows = before[f"{was['corpus']}.ndjson"]
             assert now["duplicates"] == was["duplicates"] + rows
-            assert (self.duplicate_events(tmp_path / "rerun", now["corpus"])
-                    == self.duplicate_events(tmp_path / "clean", was["corpus"]) + rows)
+            assert (self.duplicate_events(root, now["corpus"])
+                    == self.duplicate_events(clean_root, was["corpus"]) + rows)
 
-    def test_rerun_after_a_torn_final_line_gives_the_clean_store(self, tmp_path):
-        s = world()
-        self.run(s, tmp_path / "clean")
-        shutil.copytree(tmp_path / "clean" / "store", tmp_path / "torn" / "store")
-        path = tmp_path / "torn" / "store" / "tag.ndjson"
-        data = path.read_bytes()
+    @staticmethod
+    def total_appends(clean):
+        return sum(c["matched"] for c in clean[2]["corpora"])
+
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_rerun_after_a_failed_append_gives_the_clean_store(self, clean, tmp_path, where):
+        total = self.total_appends(clean)
+        self.check_failed_append(clean, tmp_path, {"first": 1, "middle": total // 2, "last": total}[where])
+
+    # ``where`` is how far through the run's appends the failing one is; the
+    # first, middle and last appends are the cases above
+    @given(where=st.floats(0, 1))
+    @settings(max_examples=20, deadline=None)
+    def test_rerun_after_a_failed_append_anywhere_gives_the_clean_store(self, clean, where):
+        fail_at = max(1, math.ceil(where * self.total_appends(clean)))
+        with tempfile.TemporaryDirectory() as tmp:
+            self.check_failed_append(clean, Path(tmp), fail_at)
+
+    # ``where`` is how far through the final line the cut is: from after its
+    # first byte to its newline
+    @given(where=st.floats(0, 1))
+    @example(where=0.5)
+    @example(where=1.0)  # only the newline is cut: the line parses and is kept
+    @settings(max_examples=20, deadline=None)
+    def test_rerun_after_a_torn_final_line_gives_the_clean_store(self, clean, where):
+        s, clean_root, _ = clean
+        data = (clean_root / "store" / "tag.ndjson").read_bytes()
         start = data.rindex(b"\n", 0, len(data) - 1) + 1
-        cut = start + (len(data) - start) // 2
-        path.write_bytes(data[:cut])
+        cut = start + 1 + math.floor(where * (len(data) - start - 2))
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            shutil.copytree(clean_root / "store", root / "store")
+            path = root / "store" / "tag.ndjson"
+            path.write_bytes(data[:cut])
 
-        assert self.run(s, tmp_path / "torn")["status"] == "ok"
-        assert path.with_name("tag.ndjson.torn").read_bytes() == data[start:cut] + b"\n"
-        assert self.corpus_files(tmp_path / "torn") == self.corpus_files(tmp_path / "clean")
+            assert self.run(s, root)["status"] == "ok"
+            torn = path.with_name("tag.ndjson.torn")
+            if cut < len(data) - 1:
+                assert torn.read_bytes() == data[start:cut] + b"\n"
+            else:
+                assert not torn.exists()
+            assert self.corpus_files(root) == self.corpus_files(clean_root)
 
 
 class TestConfigParsing:

@@ -179,6 +179,18 @@ class TestGroundTruth:
             assert t.reply_to_id is not None
             assert "wahl2013" not in {h.text for h in t.hashtags}
 
+    @pytest.mark.parametrize("order", ["reversed", "shuffled"])
+    def test_conversation_reference_ignores_timeline_order(self, order):
+        s = build_scenario(mini(reply_without_hashtag_probability=0.5))
+        timeline = list(s.timeline)
+        if order == "reversed":
+            timeline.reverse()
+        else:
+            random.Random(3).shuffle(timeline)
+        permuted = replace(s, timeline=tuple(timeline))
+        d = CorpusDefinition("tag", KeywordQuery(hashtags=("wahl2013",)), full_window(s))
+        assert conversation_reference(permuted, d) == conversation_reference(s, d)
+
 
 class TestSourceDelivery:
     def collect(self, sub):
@@ -358,6 +370,15 @@ class TestBackfill:
         mid = s.start + timedelta(seconds=3000)
         got = src.backfill_timeline(candidate.user_id, since=mid)
         assert all(t.created_at >= mid for t in got)
+
+    def test_time_order_whatever_the_line_order(self):
+        s = build_scenario(mini())
+        emergent = s.accounts_of_kind("emergent")[0]
+        src = open_source(replace(s, timeline=tuple(reversed(s.timeline))))
+        src.post_probe(replace(s.timeline[0], id=0, created_at=s.start + timedelta(seconds=1),
+                               user_id=emergent.user_id))
+        got = src.backfill_timeline(emergent.user_id, since=s.start)
+        assert got == [t for t in s.timeline if t.user_id == emergent.user_id]
 
 
 class TestProbes:
