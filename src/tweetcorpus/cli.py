@@ -274,7 +274,7 @@ def cmd_roster_load(args):
     roster = load_roster(args.roster)
     _emit({
         "candidates": len(roster),
-        "linkedAccounts": len(roster.twitter_accounts()),
+        "linkedAccounts": len(roster.twitter_index()),
         "parties": sorted({c.party for c in roster}),
         "roster": str(args.roster),
     })
@@ -433,7 +433,11 @@ def _fail(code: int, category: str, exc: Exception) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0].partition("=")[0] == "--seed":
+        parser.error("--seed goes after the command that reads it: `sim build` or `store export-candidates`")
+    args = parser.parse_args(argv)
     try:
         args.func(args)
     except ConfigError as exc:

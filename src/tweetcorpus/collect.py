@@ -87,7 +87,7 @@ def _counters_json(snap: ObserverInstance) -> dict:
         "matched": snap.matched,
         "observerId": snap.observer_id,
         "seen": snap.seen,
-        "state": "stopped",  # snapshots are taken after the run
+        "state": "stopped",  # counters are reported after the run
         "stored": snap.stored,
     }
 
@@ -205,8 +205,8 @@ def validate_names(definitions, probe_plans, amendments) -> dict[str, CorpusDefi
     """The run's corpora by name.  Names must be unique and usable as store
     file names, every probe plan and amendment must name one of them, a corpus
     has at most one probe plan and its carriers must be ones the run can post,
-    and each corpus's amendments must apply in ``at`` order, as its observer
-    will apply them."""
+    and each corpus's amendments must fall inside its window and apply in
+    ``at`` order, as its observer will apply them."""
     if not definitions:
         raise ConfigError("a run needs at least one corpus definition")
     defs: dict[str, CorpusDefinition] = {}
@@ -229,6 +229,11 @@ def validate_names(definitions, probe_plans, amendments) -> dict[str, CorpusDefi
             raise ConfigError(f"amendment references unknown corpus {sa.corpus!r}")
     for name, definition in defs.items():
         for plan in sorted((sa.plan for sa in amendments if sa.corpus == name), key=lambda p: p.at):
+            if not definition.window.contains(plan.at):
+                raise ConfigError(
+                    f"corpus {name!r} amendment at {format_timestamp(plan.at)}: outside the corpus window "
+                    f"{format_timestamp(definition.window.start)} to {format_timestamp(definition.window.end)}"
+                )
             try:
                 definition = _widened(definition, plan.accounts, plan.keywords)[0]
             except ConfigError as exc:
@@ -289,7 +294,7 @@ def collect_run(scenario: Scenario, definitions, store, *, probe_plans=(), amend
     manifest = RunManifest(
         run_id=run_id, tool_version=__version__, seed=scenario.config.seed,
         started_at=scenario.start, ended_at=scenario.end, configs=config_pairs,
-        corpora=tuple(h.snapshot() for h in handles), completeness=tuple(reports),
+        corpora=tuple(h.counters for h in handles), completeness=tuple(reports),
         status="ok" if error is None else "failed",
         error=None if error is None else f"{type(error).__name__}: {error}",
     )

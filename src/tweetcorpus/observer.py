@@ -31,7 +31,7 @@ interleaving.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta
 from pathlib import Path
 
@@ -101,19 +101,19 @@ class AmendmentPlan:
     backfill: bool = True
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ObserverInstance:
-    """One observer's counters, taken after its run."""
+    """One observer's counters: updated by its handle during the run, never after."""
 
     observer_id: str
     corpus: str
-    seen: int
-    matched: int
-    stored: int
-    duplicates: int
-    dropped_by_source: int
-    gaps: tuple[GapRecord, ...]
-    amendments: tuple[AmendmentEvent, ...]
+    seen: int = 0
+    matched: int = 0
+    stored: int = 0
+    duplicates: int = 0
+    dropped_by_source: int = 0
+    gaps: list[GapRecord] = field(default_factory=list)
+    amendments: list[AmendmentEvent] = field(default_factory=list)
 
 
 def _widened(definition: CorpusDefinition, accounts, keywords):
@@ -143,7 +143,7 @@ def _widened(definition: CorpusDefinition, accounts, keywords):
 class ObserverHandle:
     """One observer's definition, counters and run log.
 
-    ``run_observer`` runs it to completion; afterwards ``snapshot`` gives
+    ``run_observer`` runs it to completion; afterwards ``counters`` holds
     the final counters and ``fatal_error`` the error that ended it, if any.
     """
 
@@ -152,33 +152,12 @@ class ObserverHandle:
         self._query = compile_query(definition)
         self._source = source
         self._sink = sink
-        self.observer_id = f"to-{definition.name}"
         self._clock = clock
         self._pending = sorted(amendments, key=lambda p: p.at)
-
-        self._seen = 0
-        self._matched = 0
-        self._stored = 0
-        self._duplicates = 0
-        self._dropped = 0
+        self.counters = ObserverInstance(f"to-{definition.name}", definition.name)
         self._dropped_base = 0
-        self._gaps: list[GapRecord] = []
-        self._amendments: list[AmendmentEvent] = []
         self.fatal_error: Exception | None = None
         self._log_fh = open(Path(run_log), "w", encoding="utf-8", buffering=1) if run_log else None
-
-    def snapshot(self) -> ObserverInstance:
-        return ObserverInstance(
-            observer_id=self.observer_id,
-            corpus=self._definition.name,
-            seen=self._seen,
-            matched=self._matched,
-            stored=self._stored,
-            duplicates=self._duplicates,
-            dropped_by_source=self._dropped,
-            gaps=tuple(self._gaps),
-            amendments=tuple(self._amendments),
-        )
 
     # -- observer loop --------------------------------------------------------
 
@@ -196,8 +175,8 @@ class ObserverHandle:
         while True:
             try:
                 if sub is None:
-                    sub = self._source.subscribe(self._query, at=at, subscriber=self.observer_id)
-                self._dropped_base = self._dropped
+                    sub = self._source.subscribe(self._query, at=at, subscriber=self.counters.observer_id)
+                self._dropped_base = self.counters.dropped_by_source
                 self._log("subscribed", at, query={
                     "followIds": list(self._query.follow_ids),
                     "trackTerms": list(self._query.track_terms),
@@ -220,14 +199,14 @@ class ObserverHandle:
         """Process items; returns a resubscribe time after an amendment."""
         for item in sub:
             if item.kind == "limit":
-                self._dropped = self._dropped_base + item.dropped_total
+                self.counters.dropped_by_source = self._dropped_base + item.dropped_total
                 continue
             t = item.tweet
             if self._pending and self._pending[0].at <= t.created_at:
                 # apply before delivering the first at-or-after event; the
                 # new subscription redelivers this item
                 return self._amend(self._pending.pop(0))
-            self._seen += 1
+            self.counters.seen += 1
             if matches(t, self._definition):
                 self._process(t, t.created_at, is_probe=item.is_probe)
         if self._pending:
@@ -236,18 +215,18 @@ class ObserverHandle:
 
     def _process(self, t: TweetRecord, at: datetime, *, is_probe: bool = False, **via):
         """Count and store one matched tweet at ``at``; log it only if it is a duplicate."""
-        self._matched += 1
+        self.counters.matched += 1
         if self._sink.append(t, self._definition.name, is_probe=is_probe, stored_at=at) == "appended":
-            self._stored += 1
+            self.counters.stored += 1
         else:
-            self._duplicates += 1
+            self.counters.duplicates += 1
             self._log("duplicate", at, tweetId=t.id, **via)
 
     def _reconnect(self, opened_at: datetime):
         """Open a gap, then retry with backoff; returns the reconnect time and
         the subscription it opened, or (None, None) when the retries run out
         and the gap stays open."""
-        self._gaps.append(GapRecord(opened_at=opened_at, closed_at=None))
+        self.counters.gaps.append(GapRecord(opened_at=opened_at, closed_at=None))
         self._log("gap-open", opened_at)
         delay = BACKOFF_INITIAL_S
         elapsed = 0
@@ -258,10 +237,10 @@ class ObserverHandle:
             if self._clock is not None:
                 self._clock.sleep_until(attempt)
             try:
-                sub = self._source.subscribe(self._query, at=attempt, subscriber=self.observer_id)
+                sub = self._source.subscribe(self._query, at=attempt, subscriber=self.counters.observer_id)
             except SourceUnavailable:
                 continue
-            self._gaps[-1] = GapRecord(opened_at=opened_at, closed_at=attempt)
+            self.counters.gaps[-1] = GapRecord(opened_at=opened_at, closed_at=attempt)
             self._log("gap-close", attempt, openedAt=format_timestamp(opened_at))
             return attempt, sub
         return None, None
@@ -274,7 +253,7 @@ class ObserverHandle:
         summaries = []
         if plan.backfill:
             summaries = [self._backfill_account(uid, name, plan.at) for uid, name in fresh_accounts]
-        self._amendments.append(AmendmentEvent(
+        self.counters.amendments.append(AmendmentEvent(
             at=plan.at,
             corpus=widened.name,
             added_accounts=fresh_accounts,
@@ -296,7 +275,7 @@ class ObserverHandle:
         recovered = [t for t in self._source.backfill_timeline(uid, since)
                      if t.created_at < at and matches(t, self._definition)]
         for t in recovered:
-            self._seen += 1
+            self.counters.seen += 1
             self._process(t, at, via="backfill")
         earliest = min((t.created_at for t in recovered), default=None)
         return BackfillSummary(user_id=uid, screen_name=name, recovered=len(recovered), earliest=earliest)
@@ -309,7 +288,7 @@ class ObserverHandle:
         obj = {
             "event": event,
             "at": format_timestamp(at) if at is not None else None,
-            "observerId": self.observer_id,
+            "observerId": self.counters.observer_id,
             "corpus": self._definition.name,
         }
         obj.update(extra)

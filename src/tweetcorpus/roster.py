@@ -149,6 +149,13 @@ class Roster:
         if len(set(ids)) != len(ids):
             dupes = sorted({i for i in ids if ids.count(i) > 1})
             raise ConfigError(f"duplicate candidate ids: {dupes}")
+        linked: dict[int, str] = {}
+        for c in self.candidates:
+            if c.twitter:
+                other = linked.setdefault(c.twitter.user_id, c.candidate_id)
+                if other != c.candidate_id:
+                    raise ConfigError(f"twitter account {c.twitter.user_id} is linked to both "
+                                      f"{other} and {c.candidate_id}")
 
     def __iter__(self):
         return iter(self.candidates)
@@ -159,12 +166,6 @@ class Roster:
     def twitter_index(self) -> dict[int, str]:
         """Verified account user id -> candidate id."""
         return {c.twitter.user_id: c.candidate_id for c in self.candidates if c.twitter}
-
-    def twitter_accounts(self) -> tuple[tuple[int, str], ...]:
-        """(user_id, screen_name) pairs for every linked account, id order."""
-        return tuple(
-            sorted(((c.twitter.user_id, c.twitter.screen_name) for c in self.candidates if c.twitter))
-        )
 
 
 # -- file IO -----------------------------------------------------------------

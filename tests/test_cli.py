@@ -3,7 +3,11 @@
 import contextlib
 import io
 import json
-from datetime import datetime, timezone
+import os
+import subprocess
+import sys
+from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
 
@@ -62,6 +66,40 @@ def env(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
     s, world, corpora, probes = build_world(root)
     return {"root": root, "scenario": s, "world": world, "corpora": corpora, "probes": probes}
+
+
+# ``collect run`` whose ``kill_at``-th store append, counted over all corpora
+# from 1, writes half of its row and then SIGKILLs its own process
+KILLED_RUN = r"""
+import os, signal, sys
+
+from tweetcorpus.cli import main
+from tweetcorpus.store import CorpusStore
+
+kill_at, calls, append = int(sys.argv[1]), 0, CorpusStore.append
+
+
+class HalfRow:
+    def __init__(self, fh):
+        self.fh = fh
+
+    def write(self, row):
+        self.fh.write(row[:len(row) // 2])
+        self.fh.flush()
+        os.kill(os.getpid(), signal.SIGKILL)
+
+
+def killing_append(self, tweet, corpus, **kw):
+    global calls
+    calls += 1
+    if calls == kill_at:
+        self._handles[corpus] = HalfRow(self._handle(corpus))
+    return append(self, tweet, corpus, **kw)
+
+
+CorpusStore.append = killing_append
+sys.exit(main(sys.argv[2:]))
+"""
 
 
 def run_cli(capsys, *argv):
@@ -195,6 +233,56 @@ class TestCollect:
         assert last["category"] == "config" and "corpus 'wahl/2013'" in last["message"]
         assert not (tmp_path / "m.json").exists() and not (tmp_path / "store").exists()
         assert "runStarted" not in [json.loads(line).get("event") for line in err.strip().splitlines()]
+
+    # an amendment is applied when the stream reaches its time, so one outside
+    # the corpus window would store rows the window does not cover
+    @pytest.mark.parametrize("side", ["before-start", "at-end"])
+    def test_amendment_outside_its_window_is_2_before_any_file(self, env, tmp_path, capsys, side):
+        s = env["scenario"]
+        at = format_timestamp(s.start - timedelta(seconds=1) if side == "before-start" else s.end)
+        amendments = tmp_path / "amendments.json"
+        amend = ["collect", "amend", "--amendments", amendments, "--corpora", env["corpora"], "--corpus", "kand"]
+        for a in s.accounts_of_kind("emergent"):
+            amend += ["--account", f"{a.user_id}:{a.screen_name}"]
+        assert run_cli(capsys, *amend, "--at", format_timestamp(s.emergence_time))[0] == 0
+        queued = amendments.read_bytes()
+        code, _, err = run_cli(capsys, *amend, "--at", at)
+        assert code == 2 and "outside the corpus window" in err and amendments.read_bytes() == queued
+        amendments.write_text(json.dumps({"amendments": [{"corpus": "kand", "at": at, "accounts": [
+            {"id": a.user_id, "screenName": a.screen_name} for a in s.accounts_of_kind("emergent")]}]}),
+            encoding="utf-8")
+        code, _, err = run_cli(capsys, "collect", "run", "--world", env["world"], "--corpora", env["corpora"],
+                               "--amendments", amendments, "--store", tmp_path / "store",
+                               "--manifest", tmp_path / "m.json")
+        assert code == 2
+        events = [json.loads(line) for line in err.strip().splitlines()]
+        assert events[-1]["category"] == "config" and events[-1]["message"] == (
+            f"corpus 'kand' amendment at {at}: outside the corpus window "
+            f"{format_timestamp(s.start)} to {format_timestamp(s.end)}")
+        assert "runStarted" not in [e["event"] for e in events]
+        assert not (tmp_path / "m.json").exists() and not (tmp_path / "store").exists()
+
+    # ``collect run`` killed by the operating system half-way through writing a
+    # row, then rerun on the same store, leaves the clean run's store files
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_rerun_after_a_killed_run_gives_the_clean_store(self, env, main_run, tmp_path, capsys, where):
+        clean = main_run[3]
+        total = sum(c["matched"] for c in json.loads((clean / "manifest.json").read_text(encoding="utf-8"))["corpora"])
+        kill_at = {"first": 1, "middle": total // 2, "last": total}[where]
+        argv = ["collect", "run", "--world", env["world"], "--corpora", env["corpora"], "--probes", env["probes"],
+                "--store", tmp_path / "store", "--manifest", tmp_path / "manifest.json", "--logs", tmp_path / "logs"]
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run([sys.executable, "-c", KILLED_RUN, str(kill_at), *map(str, argv)],
+                              env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == -9, proc.stderr[-2000:]
+        assert not (tmp_path / "manifest.json").exists()
+
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0
+        assert json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))["status"] == "ok"
+        assert [json.loads(line)["event"] for line in err.strip().splitlines()].count("tornTail") == 1
+        files = {p.name: p.read_bytes() for p in (tmp_path / "store").glob("*.ndjson")}
+        assert files == {p.name: p.read_bytes() for p in (clean / "store").glob("*.ndjson")}
 
     def test_documents_and_events_keep_non_ascii_text(self, env, tmp_path, capsys):
         path = tmp_path / "änderungen" / "batch.json"
@@ -717,7 +805,7 @@ class TestExitCodes:
         assert e.value.code == 2
         capsys.readouterr()
 
-    # only `sim build` and `store export-candidates` read a seed
+    # only `sim build` and `store export-candidates` read a seed, and the message says so
     def test_seed_before_a_command_that_reads_none_exits_2(self, env, tmp_path, capsys):
         with pytest.raises(SystemExit) as e:
             main([str(a) for a in ("--seed", "7", "collect", "run", "--world", env["world"],
@@ -725,7 +813,21 @@ class TestExitCodes:
                                    "--manifest", tmp_path / "run.json")])
         assert e.value.code == 2
         assert not (tmp_path / "run.json").exists()
-        capsys.readouterr()
+        err = capsys.readouterr().err
+        assert "sim build" in err and "store export-candidates" in err and "invalid choice" not in err
+
+    def test_twitter_account_linked_to_two_candidates_is_2_and_named(self, env, tmp_path, capsys):
+        path = tmp_path / "roster.csv"
+        write_small_roster(path, env["scenario"])
+        rows = path.read_text(encoding="utf-8").splitlines()
+        first, second = (row.split(",") for row in rows[1:3])
+        second[6:8] = first[6:8]  # the second candidate's twitter id and screen name
+        rows[2] = ",".join(second)
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "roster", "load", "--roster", path)
+        assert code == 2 and out == ""
+        message = json.loads(err.strip().splitlines()[-1])["message"]
+        assert first[6] in message and first[0] in message and second[0] in message
 
 
 def bundestag_mini_config_text():

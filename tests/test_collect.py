@@ -434,9 +434,10 @@ class TestConfigParsing:
 
     def test_amendment_file_round_trip(self, tmp_path):
         path = tmp_path / "amendments.json"
-        defs = [candidate_def(world())]
+        s = world()
+        defs = [candidate_def(s)]
         first, second = (ScheduledAmendment("kand", AmendmentPlan(
-            at=bundestag_mini().emergence_time, accounts=((400_000 + i, f"neu0{i}"),), keywords=())) for i in (0, 1))
+            at=s.emergence_time, accounts=((400_000 + i, f"neu0{i}"),), keywords=())) for i in (0, 1))
         assert append_amendment(path, first, defs) == 1
         assert append_amendment(path, second, defs) == 2
         loaded = amendments_from_obj(json.loads(path.read_text(encoding="utf-8")))

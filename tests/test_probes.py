@@ -51,8 +51,8 @@ def keyword_def(s, name="tag"):
 
 
 def finish(h):
-    """Final snapshot of an observer that ``run_observer`` ran to completion."""
-    return h.snapshot()
+    """Final counters of an observer that ``run_observer`` ran to completion."""
+    return h.counters
 
 
 class TestInjection:

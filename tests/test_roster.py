@@ -108,6 +108,10 @@ class TestInvariants:
         with pytest.raises(ConfigError, match="K-1"):
             Roster(candidates=(c, c))
 
+    def test_twitter_account_linked_to_two_candidates(self):
+        with pytest.raises(ConfigError, match="twitter account 7 is linked to both K-1 and K-2"):
+            Roster(candidates=(cand("K-2", twitter_uid=7), cand("K-1", twitter_uid=7)))
+
 
 def cand(cid, party="SDP", twitter_uid=None):
     twitter = None
@@ -223,7 +227,6 @@ class TestDemoRoster:
     def test_indices_consistent(self):
         roster, _ = build_demo_roster(n_candidates=50, n_linked=20, n_agents=5)
         index = roster.twitter_index()
-        accounts = roster.twitter_accounts()
-        assert len(index) == 20 and len(accounts) == 20
-        for uid, name in accounts:
-            assert index[uid].startswith("K-")
+        assert len(index) == 20
+        assert sorted(index.values()) == sorted(c.candidate_id for c in roster if c.twitter)
+        assert all(cid.startswith("K-") for cid in index.values())
