@@ -32,7 +32,7 @@ from .collect import (
     manifest_json,
     manifest_table,
     probe_plans_from_obj,
-    validate_names,
+    validate_run,
 )
 from .corpus import load_corpus_config
 from .errors import AnalysisError, ConfigError, SourceError, StoreError
@@ -52,10 +52,9 @@ from .sim import (
     bias_report_json,
     build_scenario,
     config_from_obj,
-    conversation_reference,
-    ground_truth,
     load_world,
     open_source,
+    references,
     write_world,
 )
 from .store import CorpusStore, dehydrate, privacy_filter, rehydrate
@@ -111,11 +110,10 @@ def cmd_sim_build(args):
 
 
 def cmd_sim_export(args):
-    scenario = load_world(args.world)
-    defs = load_corpus_config(args.corpora)
+    refs = references(load_world(args.world), load_corpus_config(args.corpora))
     doc = {
-        "conversationReference": {d.name: sorted(conversation_reference(scenario, d)) for d in defs},
-        "groundTruth": {d.name: sorted(ground_truth(scenario, d)) for d in defs},
+        "conversationReference": {name: sorted(conversation) for name, (_, conversation) in refs.items()},
+        "groundTruth": {name: sorted(truth) for name, (truth, _) in refs.items()},
     }
     if args.out is not None:
         write_json(args.out, doc)
@@ -138,7 +136,7 @@ def cmd_collect_run(args):
     if args.amendments is not None:
         amendments = load_json_config(args.amendments, amendments_from_obj)
         config_paths.append(args.amendments)
-    validate_names(defs, probe_plans, amendments)  # a refused run logs nothing and makes no store
+    validate_run(scenario, defs, probe_plans, amendments)  # a refused run logs nothing and makes no store
     _log("runStarted", corpora=[d.name for d in defs], store=str(args.store))
     with _open_store(args.store) as store:
         manifest = collect_run(
@@ -252,19 +250,19 @@ def cmd_engagement(args):
     })
 
 
+def _reference_sets(doc) -> dict[str, dict[str, frozenset[int]]]:
+    """Both reference sets of a `sim export` document, each as corpus name -> ids."""
+    return {key: {name: frozenset(json_value(ids, [int], f"field {key!r} corpus {name!r}"))
+                  for name, ids in json_field(doc, key, dict).items()}
+            for key in ("conversationReference", "groundTruth")}
+
+
 def cmd_bias_report(args):
-    scenario = load_world(args.world)
-    defs = load_corpus_config(args.corpora)
-    reference = conversation_reference if args.reference == "conversation" else ground_truth
+    key = "conversationReference" if args.reference == "conversation" else "groundTruth"
+    refs = load_json_config(args.references, _reference_sets)[key]
     with _open_store(args.store) as store:
-        entries = [
-            BiasEntry(
-                name=d.name,
-                stored_ids=store.ids(d.name),
-                reference_ids=reference(scenario, d),
-            )
-            for d in defs
-        ]
+        entries = [BiasEntry(name=name, stored_ids=store.ids(name), reference_ids=ids)
+                   for name, ids in refs.items()]
     _emit(bias_report_json(bias_report(entries)))
 
 
@@ -324,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--seed", type=int, default=None, help="override the config's scenario seed")
     p.set_defaults(func=cmd_sim_build)
-    p = sim.add_parser("export", help="export oracle reference id sets for the given corpora")
+    p = sim.add_parser("export", help="export oracle reference id sets for `bias report --references`")
     p.add_argument("--world", type=Path, required=True)
     p.add_argument("--corpora", type=Path, required=True)
     p.add_argument("--out", type=Path, default=None)
@@ -409,8 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
     bias = sub.add_parser("bias", help="collection bias measurement").add_subparsers(
         dest="subcommand", required=True)
     p = bias.add_parser("report", help="recall/precision of stored corpora against oracle references")
-    p.add_argument("--world", type=Path, required=True)
-    p.add_argument("--corpora", type=Path, required=True)
+    p.add_argument("--references", type=Path, required=True,
+                   help="the reference sets `sim export` wrote; its corpora are the ones reported")
     p.add_argument("--store", type=Path, required=True)
     p.add_argument("--reference", choices=("conversation", "ground-truth"), default="conversation")
     p.set_defaults(func=cmd_bias_report)

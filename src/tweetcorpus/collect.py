@@ -241,6 +241,20 @@ def validate_names(definitions, probe_plans, amendments) -> dict[str, CorpusDefi
     return defs
 
 
+def validate_run(scenario: Scenario, definitions, probe_plans, amendments) -> dict[str, CorpusDefinition]:
+    """``validate_names``, and every amendment falls inside the world, where
+    the stream reaches it: one dated after the world's end would be applied
+    after the stream ends."""
+    defs = validate_names(definitions, probe_plans, amendments)
+    for sa in amendments:
+        if not scenario.start <= sa.plan.at < scenario.end:
+            raise ConfigError(
+                f"corpus {sa.corpus!r} amendment at {format_timestamp(sa.plan.at)}: outside the world, which runs "
+                f"from {format_timestamp(scenario.start)} to {format_timestamp(scenario.end)}"
+            )
+    return defs
+
+
 def collect_run(scenario: Scenario, definitions, store, *, probe_plans=(), amendments=(),
                 config_paths=(), manifest_path=None, logs_dir=None, clock_factory=None) -> RunManifest:
     """Run every corpus observer over the scenario's stream and account for it.
@@ -256,7 +270,7 @@ def collect_run(scenario: Scenario, definitions, store, *, probe_plans=(), amend
     failed; the manifest is then written with status "failed" and the first
     error is re-raised.
     """
-    defs = validate_names(definitions, probe_plans, amendments)
+    defs = validate_run(scenario, definitions, probe_plans, amendments)
     config_pairs = tuple((str(p), file_hash(p)) for p in config_paths)
     run_id = derive_run_id(scenario.config.seed, [h for _, h in config_pairs], defs.keys())
     if logs_dir is not None:

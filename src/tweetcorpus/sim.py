@@ -375,9 +375,19 @@ def conversation_reference(scenario: Scenario, definition: CorpusDefinition) -> 
     matching tweet: the 'whole topic' a keyword collection aims at but
     cannot reach once replies drop the tag.  A conversation is the tweets
     that share a root (``conversation_roots``)."""
+    return references(scenario, [definition])[definition.name][1]
+
+
+def references(scenario: Scenario, definitions) -> dict[str, tuple[frozenset[int], frozenset[int]]]:
+    """Per corpus name, its ``ground_truth`` and its ``conversation_reference``:
+    the roots are found once, and each tweet is matched once per corpus."""
     roots = conversation_roots(scenario.timeline)
-    matched_roots = {roots[t.id].id for t in scenario.timeline if matches(t, definition)}
-    return frozenset(i for i, root in roots.items() if root.id in matched_roots)
+    refs = {}
+    for d in definitions:
+        truth = frozenset(t.id for t in scenario.timeline if matches(t, d))
+        matched_roots = {roots[i].id for i in truth}
+        refs[d.name] = truth, frozenset(i for i, root in roots.items() if root.id in matched_roots)
+    return refs
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,13 @@ from tweetcorpus.cli import main
 from tweetcorpus.probes import ProbeRecord, read_probe_log, write_probe_log
 from tweetcorpus.roster import CandidateRecord, VerifiedLink, export_candidates
 from tweetcorpus.sim import (
+    BiasEntry,
     EmergentParty,
+    bias_report,
+    bias_report_json,
     build_scenario,
     bundestag_mini,
+    conversation_reference,
     ground_truth,
     write_world,
 )
@@ -262,6 +266,34 @@ class TestCollect:
         assert "runStarted" not in [e["event"] for e in events]
         assert not (tmp_path / "m.json").exists() and not (tmp_path / "store").exists()
 
+    # a corpus window may outlast the world, but an amendment at or after the
+    # world's end would be applied after the stream ends; `collect amend` reads
+    # no world, so only `collect run` can refuse it
+    @pytest.mark.parametrize("late", [timedelta(0), timedelta(hours=12)], ids=["at-end", "after-end"])
+    def test_amendment_after_the_world_ends_is_2_before_any_file(self, env, tmp_path, capsys, late):
+        s = env["scenario"]
+        doc = json.loads(env["corpora"].read_text(encoding="utf-8"))
+        for c in doc["corpora"]:
+            c["window"]["end"] = format_timestamp(s.end + timedelta(days=1))
+        corpora = tmp_path / "corpora.json"
+        corpora.write_text(json.dumps(doc), encoding="utf-8")
+        at = format_timestamp(s.end + late)
+        amendments = tmp_path / "amendments.json"
+        amend = ["collect", "amend", "--amendments", amendments, "--corpora", corpora, "--corpus", "kand", "--at", at]
+        for a in s.accounts_of_kind("emergent"):
+            amend += ["--account", f"{a.user_id}:{a.screen_name}"]
+        assert run_cli(capsys, *amend)[0] == 0
+        code, _, err = run_cli(capsys, "collect", "run", "--world", env["world"], "--corpora", corpora,
+                               "--amendments", amendments, "--store", tmp_path / "store",
+                               "--manifest", tmp_path / "m.json")
+        assert code == 2
+        events = [json.loads(line) for line in err.strip().splitlines()]
+        assert events[-1]["category"] == "config" and events[-1]["message"] == (
+            f"corpus 'kand' amendment at {at}: outside the world, which runs "
+            f"from {format_timestamp(s.start)} to {format_timestamp(s.end)}")
+        assert "runStarted" not in [e["event"] for e in events]
+        assert not (tmp_path / "m.json").exists() and not (tmp_path / "store").exists()
+
     # ``collect run`` killed by the operating system half-way through writing a
     # row, then rerun on the same store, leaves the clean run's store files
     @pytest.mark.parametrize("where", ["first", "middle", "last"])
@@ -415,9 +447,20 @@ class TestAnalysis:
         for row in json.loads(out)["actors"]:
             assert 1 <= row["breadth"] <= row["depth"]
 
-    def test_bias_report_shapes_and_determinism(self, env, main_run, capsys):
-        args = ("bias", "report", "--world", env["world"], "--corpora", env["corpora"],
-                "--store", env["root"] / "main" / "store")
+    @pytest.fixture
+    def refs(self, env, tmp_path, capsys):
+        """`sim export --out` of the shared world, from a corpora file that lists
+        its corpora out of name order."""
+        corpora = tmp_path / "corpora.json"
+        doc = json.loads(env["corpora"].read_text(encoding="utf-8"))
+        corpora.write_text(json.dumps({"corpora": doc["corpora"][::-1]}), encoding="utf-8")
+        path = tmp_path / "refs.json"
+        code, _, _ = run_cli(capsys, "sim", "export", "--world", env["world"], "--corpora", corpora, "--out", path)
+        assert code == 0
+        return path
+
+    def test_bias_report_shapes_and_determinism(self, env, main_run, refs, capsys):
+        args = ("bias", "report", "--references", refs, "--store", env["root"] / "main" / "store")
         code, out_a, _ = run_cli(capsys, *args)
         assert code == 0
         doc = json.loads(out_a)
@@ -427,6 +470,61 @@ class TestAnalysis:
             assert c["missingCount"] == len(c["missing"])
         _, out_b, _ = run_cli(capsys, *args)
         assert out_a == out_b
+
+    # the report reads the stored ids and the exported references, in the
+    # exported file's order, which is sorted by corpus name
+    @pytest.mark.parametrize("reference, oracle", [
+        ("conversation", conversation_reference), ("ground-truth", ground_truth)])
+    def test_bias_report_compares_the_store_with_the_exported_references(
+            self, env, main_run, refs, capsys, reference, oracle):
+        store_dir = env["root"] / "main" / "store"
+        code, out, _ = run_cli(capsys, "bias", "report", "--references", refs, "--store", store_dir,
+                               "--reference", reference)
+        assert code == 0
+        defs = load_defs(env)
+        with CorpusStore(store_dir) as store:
+            entries = [BiasEntry(name=name, stored_ids=store.ids(name), reference_ids=oracle(env["scenario"], d))
+                       for name, d in sorted(defs.items())]
+        assert out == json_document(bias_report_json(bias_report(entries)))
+        assert [c["name"] for c in json.loads(out)["corpora"]] == ["kand", "tag"]
+
+    def test_exported_stdout_serves_as_references(self, env, main_run, refs, tmp_path, capsys):
+        code, out, _ = run_cli(capsys, "sim", "export", "--world", env["world"], "--corpora", env["corpora"])
+        assert code == 0
+        redirected = tmp_path / "redirected.json"
+        redirected.write_text(out, encoding="utf-8")
+        store_dir = env["root"] / "main" / "store"
+        reports = [run_cli(capsys, "bias", "report", "--references", path, "--store", store_dir)[:2]
+                   for path in (refs, redirected)]
+        assert reports[0][0] == 0 and reports[0] == reports[1]
+
+    @pytest.mark.parametrize("case", ["string id", "no groundTruth", "not an object"])
+    def test_malformed_references_are_2_and_named(self, env, main_run, refs, tmp_path, capsys, case):
+        doc = json.loads(refs.read_text(encoding="utf-8"))
+        if case == "string id":
+            doc["groundTruth"]["tag"][0] = str(doc["groundTruth"]["tag"][0])
+        elif case == "no groundTruth":
+            del doc["groundTruth"]
+        else:
+            doc = [doc]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run_cli(capsys, "bias", "report", "--references", bad,
+                                 "--store", env["root"] / "main" / "store")
+        assert code == 2 and out == ""
+        assert str(bad) in json.loads(err.strip().splitlines()[-1])["message"]
+
+    def test_reference_corpus_the_store_lacks_is_4_and_named(self, env, main_run, refs, tmp_path, capsys):
+        doc = json.loads(refs.read_text(encoding="utf-8"))
+        for sets in doc.values():
+            sets["nirgends"] = []
+        extra = tmp_path / "extra.json"
+        extra.write_text(json.dumps(doc), encoding="utf-8")
+        store_dir = env["root"] / "main" / "store"
+        code, out, err = run_cli(capsys, "bias", "report", "--references", extra, "--store", store_dir)
+        assert code == 4 and out == ""
+        assert "'nirgends'" in json.loads(err.strip().splitlines()[-1])["message"]
+        assert not (store_dir / "nirgends.ndjson").exists()
 
 
 class TestRoster:

@@ -316,6 +316,26 @@ class TestFailureManifest:
         assert list((tmp_path / "store").glob("*.ndjson")) == []
         assert not manifest_path.exists()
 
+    # the corpus window outlasts the world, so only the world's span refuses a
+    # plan the stream would reach only after it ends
+    @pytest.mark.parametrize("late", [timedelta(0), timedelta(minutes=30)], ids=["at-end", "after-end"])
+    def test_amendment_after_the_world_ends_is_refused_before_any_row(self, tmp_path, late):
+        s = world()
+        kand = replace(candidate_def(s), window=TimeWindow(s.start, s.end + timedelta(hours=1)))
+        at = s.end + late
+        amendments = [ScheduledAmendment("kand", AmendmentPlan(at=at, accounts=((400_000, "neupartei00"),)))]
+        validate_names([kand], (), amendments)
+        manifest_path = tmp_path / "manifest.json"
+        with CorpusStore(tmp_path / "store") as store:
+            with pytest.raises(ConfigError) as caught:
+                collect_run(s, [kand], store, amendments=amendments, manifest_path=manifest_path)
+            assert store.corpora() == []
+        assert str(caught.value) == (
+            f"corpus 'kand' amendment at {format_timestamp(at)}: outside the world, which runs "
+            f"from {format_timestamp(s.start)} to {format_timestamp(s.end)}")
+        assert list((tmp_path / "store").glob("*.ndjson")) == []
+        assert not manifest_path.exists()
+
 
 class FailingAt(CorpusStore):
     """Store whose ``fail_at``-th append, counted over all corpora from 1, fails."""

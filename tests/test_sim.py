@@ -8,6 +8,8 @@ from dataclasses import replace
 from datetime import timedelta
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from test_corpus import oracle_matches
 
@@ -36,6 +38,7 @@ from tweetcorpus.sim import (
     ground_truth,
     load_world,
     open_source,
+    references,
     write_world,
 )
 from tweetcorpus.tweets import TweetRecord, extract_entities, json_document
@@ -190,6 +193,58 @@ class TestGroundTruth:
         permuted = replace(s, timeline=tuple(timeline))
         d = CorpusDefinition("tag", KeywordQuery(hashtags=("wahl2013",)), full_window(s))
         assert conversation_reference(permuted, d) == conversation_reference(s, d)
+
+
+def oracle_conversations(timeline, hits):
+    """Every tweet joined to a hit by a chain of replies within the timeline,
+    found by growing the set until no reply or parent of a member is outside."""
+    in_world = {t.id for t in timeline}
+    members = set(hits)
+    grown = True
+    while grown:
+        grown = False
+        for t in timeline:
+            if t.reply_to_id in in_world and (t.id in members) != (t.reply_to_id in members):
+                members |= {t.id, t.reply_to_id}
+                grown = True
+    return members
+
+
+@st.composite
+def worlds_and_corpora(draw):
+    """A small world with its timeline shuffled, and corpora of every strategy
+    kind over windows inside it."""
+    s = build_scenario(mini(
+        seed=draw(st.integers(0, 10_000)), n_tweets=draw(st.integers(1, 600)),
+        reply_probability=draw(st.sampled_from([0.0, 0.35, 0.9])),
+        reply_without_hashtag_probability=draw(st.sampled_from([0.0, 0.5, 1.0]))))
+    timeline = list(s.timeline)
+    draw(st.randoms(use_true_random=False)).shuffle(timeline)
+    candidates = tuple((a.user_id, a.screen_name) for a in s.accounts_of_kind("candidate"))
+    strategies = [
+        KeywordQuery(hashtags=("wahl2013",)),
+        KeywordQuery(hashtags=("btw13",), terms=("debatte",)),
+        AccountQuery(accounts=draw(st.lists(st.sampled_from(candidates), min_size=1, max_size=4, unique=True))),
+        MetadataQuery(country="DE"),
+    ]
+    defs = []
+    for i, strategy in enumerate(strategies):
+        start, end = sorted(draw(st.lists(st.integers(0, s.config.duration_s), min_size=2, max_size=2, unique=True)))
+        window = TimeWindow(s.start + timedelta(seconds=start), s.start + timedelta(seconds=end))
+        defs.append(CorpusDefinition(f"c{i}", strategy, window))
+    return s, replace(s, timeline=tuple(timeline)), defs
+
+
+class TestReferences:
+    @given(worlds_and_corpora())
+    @settings(max_examples=40, deadline=None)
+    def test_each_corpus_gets_its_ground_truth_and_conversations_in_any_order(self, drawn):
+        s, shuffled, defs = drawn
+        refs = references(shuffled, defs)
+        assert list(refs) == [d.name for d in defs]
+        for d in defs:
+            truth = ground_truth(s, d)
+            assert refs[d.name] == (truth, oracle_conversations(s.timeline, truth))
 
 
 class TestSourceDelivery:
