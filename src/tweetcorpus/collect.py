@@ -204,9 +204,8 @@ def append_amendment(path, sa: ScheduledAmendment, definitions) -> int:
 def validate_names(definitions, probe_plans, amendments) -> dict[str, CorpusDefinition]:
     """The run's corpora by name.  Names must be unique and usable as store
     file names, every probe plan and amendment must name one of them, a corpus
-    has at most one probe plan and its carriers must be ones the run can post,
-    and each corpus's amendments must fall inside its window and apply in
-    ``at`` order, as its observer will apply them."""
+    has at most one probe plan, and each corpus's amendments must fall inside
+    its window and apply in ``at`` order, as its observer will apply them."""
     if not definitions:
         raise ConfigError("a run needs at least one corpus definition")
     defs: dict[str, CorpusDefinition] = {}
@@ -223,7 +222,6 @@ def validate_names(definitions, probe_plans, amendments) -> dict[str, CorpusDefi
         if plan.corpus in probed:
             raise ConfigError(f"corpus {plan.corpus!r} has more than one probe plan")
         probed.add(plan.corpus)
-        probe_carriers(defs[plan.corpus], plan.interval, plan.count)
     for sa in amendments:
         if sa.corpus not in defs:
             raise ConfigError(f"amendment references unknown corpus {sa.corpus!r}")
@@ -242,16 +240,20 @@ def validate_names(definitions, probe_plans, amendments) -> dict[str, CorpusDefi
 
 
 def validate_run(scenario: Scenario, definitions, probe_plans, amendments) -> dict[str, CorpusDefinition]:
-    """``validate_names``, and every amendment falls inside the world, where
-    the stream reaches it: one dated after the world's end would be applied
+    """``validate_names``, the run can post every probe plan's carriers, and
+    every probe and amendment falls inside the world, where the stream
+    reaches it: one dated after the world's end would be posted or applied
     after the stream ends."""
     defs = validate_names(definitions, probe_plans, amendments)
+    world = (f"outside the world, which runs from {format_timestamp(scenario.start)} "
+             f"to {format_timestamp(scenario.end)}")
+    for plan in probe_plans:
+        for _, carrier in probe_carriers(defs[plan.corpus], plan.interval, plan.count):
+            if not scenario.start <= carrier.created_at < scenario.end:
+                raise ConfigError(f"corpus {plan.corpus!r} probe at {format_timestamp(carrier.created_at)}: {world}")
     for sa in amendments:
         if not scenario.start <= sa.plan.at < scenario.end:
-            raise ConfigError(
-                f"corpus {sa.corpus!r} amendment at {format_timestamp(sa.plan.at)}: outside the world, which runs "
-                f"from {format_timestamp(scenario.start)} to {format_timestamp(scenario.end)}"
-            )
+            raise ConfigError(f"corpus {sa.corpus!r} amendment at {format_timestamp(sa.plan.at)}: {world}")
     return defs
 
 

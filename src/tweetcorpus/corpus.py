@@ -24,7 +24,7 @@ from functools import cached_property
 from typing import Union
 
 from .errors import ConfigError
-from .tweets import TweetRecord, json_field, load_json_config, object_list
+from .tweets import TweetRecord, format_timestamp, json_field, load_json_config, object_list
 
 FORMAT_FLAGS = frozenset({"retweets_only", "must_have_url", "must_have_image"})
 
@@ -40,7 +40,8 @@ class TimeWindow:
 
     def __post_init__(self):
         if not self.start < self.end:
-            raise ConfigError(f"window start {self.start} is not before end {self.end}")
+            raise ConfigError(
+                f"window start {format_timestamp(self.start)} is not before end {format_timestamp(self.end)}")
 
     def contains(self, dt: datetime) -> bool:
         return self.start <= dt < self.end

@@ -568,7 +568,7 @@ class SimStreamSource:
         """Inject a synthetic tweet into the live stream; the source assigns
         the id.  Probes ride the same delivery path as everything else."""
         if not self.scenario.start <= tweet.created_at < self.scenario.end:
-            raise SourceUnavailable(f"probe timestamp {tweet.created_at} outside the scenario")
+            raise SourceUnavailable(f"probe timestamp {format_timestamp(tweet.created_at)} outside the scenario")
         assigned = replace(tweet, id=self._next_id)
         self._next_id += 1
         bisect.insort(self._events, (assigned, True), key=_event_order)
@@ -588,7 +588,7 @@ class SimStreamSource:
         """
         at = at or self.scenario.start
         if any(start <= at < end for start, end in self._outages):
-            raise SourceUnavailable(f"source unreachable at {at}")
+            raise SourceUnavailable(f"source unreachable at {format_timestamp(at)}")
         return Subscription(self, query, at, subscriber)
 
     # -- lookups ------------------------------------------------------------

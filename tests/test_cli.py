@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 from datetime import datetime, timedelta, timezone
@@ -11,13 +12,15 @@ from pathlib import Path
 
 import pytest
 
-from tweetcorpus.authority import derive_information_authorities, load_follow_graph
+from tweetcorpus.authority import authority_report, derive_information_authorities, load_follow_graph
 from tweetcorpus.cli import main
+from tweetcorpus.errors import SourceUnavailable
 from tweetcorpus.probes import ProbeRecord, read_probe_log, write_probe_log
 from tweetcorpus.roster import CandidateRecord, VerifiedLink, export_candidates
 from tweetcorpus.sim import (
     BiasEntry,
     EmergentParty,
+    SimStreamSource,
     bias_report,
     bias_report_json,
     build_scenario,
@@ -433,10 +436,17 @@ class TestAnalysis:
         code, out, _ = run_cli(capsys, "authorities", "--graph", graph_path,
                                "--groups", groups_path, "--threshold", "0.25")
         assert code == 0
-        from tweetcorpus.authority import authority_report
         want = authority_report(derive_information_authorities(
             load_follow_graph(graph_path, groups_path), threshold="0.25"))
         assert json.loads(out) == json.loads(json.dumps(want))
+
+    def test_authorities_without_threshold_take_the_library_default(self, env, capsys):
+        graph_path = env["world"] / "follows.tsv"
+        groups_path = env["world"] / "groups.json"
+        code, out, _ = run_cli(capsys, "authorities", "--graph", graph_path, "--groups", groups_path)
+        assert code == 0
+        want = authority_report(derive_information_authorities(load_follow_graph(graph_path, groups_path)))
+        assert out == json_document(want)
 
     def test_engagement_rows_are_sorted_actors(self, env, main_run, capsys):
         code, out, _ = run_cli(capsys, "engagement", "--store", env["root"] / "main" / "store",
@@ -496,6 +506,23 @@ class TestAnalysis:
         store_dir = env["root"] / "main" / "store"
         reports = [run_cli(capsys, "bias", "report", "--references", path, "--store", store_dir)[:2]
                    for path in (refs, redirected)]
+        assert reports[0][0] == 0 and reports[0] == reports[1]
+
+    # the line order of timeline.ndjson changes neither the exported references
+    # nor the bias report that reads them
+    def test_timeline_line_order_changes_no_export_or_report_byte(self, env, main_run, tmp_path, capsys):
+        reversed_world = tmp_path / "world-reversed"
+        shutil.copytree(env["world"], reversed_world)
+        lines = (env["world"] / "timeline.ndjson").read_bytes().splitlines(keepends=True)
+        (reversed_world / "timeline.ndjson").write_bytes(b"".join(reversed(lines)))
+        exports, reports = [], []
+        for world in (env["world"], reversed_world):
+            refs = tmp_path / f"{world.name}-refs.json"
+            assert run_cli(capsys, "sim", "export", "--world", world, "--corpora", env["corpora"], "--out", refs)[0] == 0
+            exports.append(refs.read_bytes())
+            reports.append(run_cli(capsys, "bias", "report", "--references", refs,
+                                   "--store", env["root"] / "main" / "store")[:2])
+        assert exports[0] == exports[1]
         assert reports[0][0] == 0 and reports[0] == reports[1]
 
     @pytest.mark.parametrize("case", ["string id", "no groundTruth", "not an object"])
@@ -772,6 +799,9 @@ class TestExitCodes:
         ("--probes", {"probes": [{"corpus": "tag", "count": 3, "intervalSecond": 60}]}, "'intervalSecond'"),
         ("--amendments", {"amendments": [dict(AMENDMENT, backfil=False)]}, "'backfil'"),
         ("--config", {"seed": 1, "nTweet": 10}, "'nTweet'"),
+        # times in messages take the ISO form that the configs use
+        ("--corpora", {"corpora": [dict(TAG_CORPUS, window={"start": WINDOW["end"], "end": WINDOW["start"]})]},
+         "window start 2013-09-02T00:00:00Z is not before end 2013-09-01T00:00:00Z"),
     ])
     def test_malformed_config_list_is_2_and_named(self, env, tmp_path, capsys, option, doc, named):
         path = tmp_path / "config.json"
@@ -878,7 +908,9 @@ class TestExitCodes:
         path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
         assert run_cli(capsys, *argv)[:2] == (0, plain)
 
-    def test_refused_probe_post_is_3(self, tmp_path, capsys):
+    # a corpus window may outlast the world, but a probe dated after the
+    # world's end is one the source would refuse to post
+    def test_probe_plan_past_the_world_is_2_before_any_file(self, tmp_path, capsys):
         s, world, _, _ = build_world(tmp_path, seed=5)
         long_window = {"start": format_timestamp(s.start),
                        "end": format_timestamp(s.end.replace(year=s.end.year + 1))}
@@ -886,15 +918,33 @@ class TestExitCodes:
         corpora.write_text(json.dumps({"corpora": [
             {"name": "tag", "window": long_window,
              "strategy": {"kind": "keywords", "hashtags": ["wahl2013"]}}]}), encoding="utf-8")
+        interval = s.end - s.start + timedelta(hours=1)
         probes = tmp_path / "late-probes.json"
         probes.write_text(json.dumps({"probes": [
-            {"corpus": "tag", "count": 1,
-             "intervalSeconds": int((s.end - s.start).total_seconds()) + 3600}]}), encoding="utf-8")
+            {"corpus": "tag", "count": 1, "intervalSeconds": int(interval.total_seconds())}]}), encoding="utf-8")
         code, _, err = run_cli(capsys, "collect", "run", "--world", world, "--corpora", corpora,
                                "--probes", probes, "--store", tmp_path / "store",
                                "--manifest", tmp_path / "run.json")
+        assert code == 2
+        events = [json.loads(line) for line in err.strip().splitlines()]
+        assert events[-1]["category"] == "config" and events[-1]["message"] == (
+            f"corpus 'tag' probe at {format_timestamp(s.start + interval)}: outside the world, which runs "
+            f"from {format_timestamp(s.start)} to {format_timestamp(s.end)}")
+        assert "runStarted" not in [e["event"] for e in events]
+        assert not (tmp_path / "run.json").exists() and not (tmp_path / "store").exists()
+
+    # a source that fails during the run exits 3 and still writes a failed manifest
+    def test_source_error_during_the_run_is_3_with_a_failed_manifest(self, env, tmp_path, capsys, monkeypatch):
+        def refuse(source, tweet):
+            raise SourceUnavailable("probe post refused")
+
+        monkeypatch.setattr(SimStreamSource, "post_probe", refuse)
+        code, _, err = run_cli(capsys, "collect", "run", "--world", env["world"], "--corpora", env["corpora"],
+                               "--probes", env["probes"], "--store", tmp_path / "store",
+                               "--manifest", tmp_path / "run.json")
         assert code == 3
-        assert json.loads(err.strip().splitlines()[-1])["category"] == "source"
+        last = json.loads(err.strip().splitlines()[-1])
+        assert last["category"] == "source" and last["message"] == "probe post refused"
         assert json.loads((tmp_path / "run.json").read_text(encoding="utf-8"))["status"] == "failed"
 
     def test_unknown_subcommand_exits_2(self, capsys):

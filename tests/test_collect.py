@@ -28,6 +28,7 @@ from tweetcorpus.collect import (
     manifest_table,
     probe_plans_from_obj,
     validate_names,
+    validate_run,
 )
 from tweetcorpus.corpus import (
     AccountQuery,
@@ -285,7 +286,7 @@ class TestFailureManifest:
             assert store.corpora() == []
         assert not manifest_path.exists()
         with pytest.raises(error, match=message):
-            validate_names(defs, plans, ())
+            validate_run(s, defs, plans, ())
 
     @pytest.mark.parametrize("case", ["observed", "twice in one", "again later", "keyword corpus"])
     def test_amendment_that_cannot_apply_is_refused_before_any_row(self, tmp_path, case):
@@ -332,6 +333,29 @@ class TestFailureManifest:
             assert store.corpora() == []
         assert str(caught.value) == (
             f"corpus 'kand' amendment at {format_timestamp(at)}: outside the world, which runs "
+            f"from {format_timestamp(s.start)} to {format_timestamp(s.end)}")
+        assert list((tmp_path / "store").glob("*.ndjson")) == []
+        assert not manifest_path.exists()
+
+    # the corpus window outlasts the world, so only the world's span refuses a
+    # probe that the source would refuse to post
+    @pytest.mark.parametrize("side", ["before-start", "at-end"])
+    def test_probe_outside_the_world_is_refused_before_any_row(self, tmp_path, side):
+        s = world()
+        hour = timedelta(hours=1)
+        # (window, probe interval, the first probe time outside the world)
+        window, interval, refused = {
+            "before-start": (TimeWindow(s.start - 2 * hour, s.end), hour, s.start - hour),
+            "at-end": (TimeWindow(s.start, s.end + 2 * hour), (s.end - s.start) / 2, s.end),
+        }[side]
+        tag = replace(keyword_def(s), window=window)
+        manifest_path = tmp_path / "manifest.json"
+        with CorpusStore(tmp_path / "store") as store:
+            with pytest.raises(ConfigError) as caught:
+                collect_run(s, [tag], store, probe_plans=[ProbePlan("tag", 3, interval)], manifest_path=manifest_path)
+            assert store.corpora() == []
+        assert str(caught.value) == (
+            f"corpus 'tag' probe at {format_timestamp(refused)}: outside the world, which runs "
             f"from {format_timestamp(s.start)} to {format_timestamp(s.end)}")
         assert list((tmp_path / "store").glob("*.ndjson")) == []
         assert not manifest_path.exists()

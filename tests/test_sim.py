@@ -41,7 +41,7 @@ from tweetcorpus.sim import (
     references,
     write_world,
 )
-from tweetcorpus.tweets import TweetRecord, extract_entities, json_document
+from tweetcorpus.tweets import TweetRecord, extract_entities, format_timestamp, json_document
 
 
 def mini(seed=7, **overrides):
@@ -324,8 +324,9 @@ class TestSourceDelivery:
         cfg = mini(faults=FaultSchedule(disconnect_windows=(DisconnectWindow(2000, 2500),)))
         s = build_scenario(cfg)
         src = open_source(s)
-        with pytest.raises(SourceUnavailable):
-            src.subscribe(StreamQuery(sample=True), at=s.start + timedelta(seconds=2200))
+        at = s.start + timedelta(seconds=2200)
+        with pytest.raises(SourceUnavailable, match=f"^source unreachable at {format_timestamp(at)}$"):
+            src.subscribe(StreamQuery(sample=True), at=at)
         resumed = src.subscribe(StreamQuery(sample=True), at=s.start + timedelta(seconds=2500))
         tweets, _, _ = self.collect(resumed)
         assert tweets
@@ -460,8 +461,9 @@ class TestProbes:
     def test_probe_outside_scenario_refused(self):
         s = build_scenario(mini())
         src = open_source(s)
-        with pytest.raises(SourceUnavailable):
-            src.post_probe(self.probe(s, -10, "zu frueh #wahl2013"))
+        probe = self.probe(s, -10, "zu frueh #wahl2013")
+        with pytest.raises(SourceUnavailable, match=f"^probe timestamp {format_timestamp(probe.created_at)} outside"):
+            src.post_probe(probe)
 
     def test_probe_drop_rate_exact(self):
         cfg = mini(faults=FaultSchedule(probe_drop_rate=0.1))
