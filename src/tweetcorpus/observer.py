@@ -2,7 +2,10 @@
 
 Each observer subscribes to a stream source with a compiled query,
 re-checks every delivered event against the corpus matcher, and appends
-the matches to the store.  Transport is at-least-once: the store append
+the matches to the store.  A subscription covers one span ``[at, until)``:
+from the corpus window's start, an amendment or a reconnect, up to the next
+pending amendment or the window's end, so the counters, drops and gaps
+cover the corpus window only.  Transport is at-least-once: the store append
 is idempotent and redeliveries surface as a duplicate count, not as
 double rows.  A failed append is not retried (the store refuses only a bad
 corpus name or an unreadable line, which a retry would meet again): it
@@ -12,16 +15,18 @@ A refused subscription and a dropped stream are one outage: either opens
 a gap record and starts bounded exponential backoff (1 s initial,
 doubling, 60 s cap, 10 attempts); the gap closes at the reconnect time,
 so every event lost while disconnected falls inside a recorded interval.
-Scheduled amendments widen the query forward from their timestamp and
-recover the authored backlog of added accounts; mentions of those
-accounts from before the amendment stay unrecoverable, and the amendment
-record says so.  A streamed event and a backfilled tweet take the same
-path into the store and counters; a backfilled one is stored at the
-amendment time, after its ``createdAt``, and only the matched ones count
-as seen.  The run log, rewritten by each run, holds only what the store
-cannot: subscriptions, gaps, amendments and duplicates, each marked
-``via: "backfill"`` if backfill redelivered it; store rows plus
-``duplicate`` events equal the manifest's ``matched``.
+A subscription that ends without a disconnect is the one amendment
+boundary: the next pending amendment widens the query forward from its
+timestamp, where the new subscription starts, and recovers the authored
+backlog of added accounts; mentions of those accounts from before the
+amendment stay unrecoverable, and the amendment record says so.  A
+streamed event and a backfilled tweet take the same path into the store
+and counters; a backfilled one is stored at the amendment time, after its
+``createdAt``, and only the matched ones count as seen.  The run log,
+rewritten by each run, holds only what the store cannot: subscriptions,
+gaps, amendments and duplicates, each marked ``via: "backfill"`` if
+backfill redelivered it; store rows plus ``duplicate`` events equal the
+manifest's ``matched``.
 
 ``run_observer`` runs one observer to completion in the calling thread.
 Observers of different corpora share nothing but the source and the
@@ -103,7 +108,8 @@ class AmendmentPlan:
 
 @dataclass(slots=True)
 class ObserverInstance:
-    """One observer's counters: updated by its handle during the run, never after."""
+    """One observer's counters over its corpus window: updated by its handle
+    during the run, never after."""
 
     observer_id: str
     corpus: str
@@ -170,48 +176,42 @@ class ObserverHandle:
             if self._log_fh:
                 self._log_fh.close()
 
+    def _subscribe(self, at: datetime):
+        """Subscribe from ``at`` to the next pending amendment, or to the window end."""
+        until = self._pending[0].at if self._pending else self._definition.window.end
+        return self._source.subscribe(self._query, at, until, self.counters.observer_id)
+
     def _loop(self):
-        at, sub = None, None
-        while True:
+        at, sub = self._definition.window.start, None
+        while at is not None:
             try:
                 if sub is None:
-                    sub = self._source.subscribe(self._query, at=at, subscriber=self.counters.observer_id)
+                    sub = self._subscribe(at)
                 self._dropped_base = self.counters.dropped_by_source
                 self._log("subscribed", at, query={
                     "followIds": list(self._query.follow_ids),
                     "trackTerms": list(self._query.track_terms),
                     "sample": self._query.sample,
                 })
-                at, sub = self._consume(sub), None
+                self._consume(sub)
             except SourceUnavailable:
-                at, sub = self._reconnect(at or self._definition.window.start)
+                at, sub = self._reconnect(at)
             except SourceDisconnected as exc:
-                if self._pending and self._pending[0].at <= exc.at:
-                    # the stream reached the amendment first; the widened stream
-                    # replays from its time and meets this outage once, not twice
-                    at, sub = self._amend(self._pending.pop(0)), None
-                else:
-                    at, sub = self._reconnect(exc.at)
-            if at is None:
-                return
+                at, sub = self._reconnect(exc.at)
+            else:
+                if not self._pending:
+                    return
+                at, sub = self._amend(self._pending.pop(0)), None
 
     def _consume(self, sub):
-        """Process items; returns a resubscribe time after an amendment."""
         for item in sub:
             if item.kind == "limit":
                 self.counters.dropped_by_source = self._dropped_base + item.dropped_total
                 continue
             t = item.tweet
-            if self._pending and self._pending[0].at <= t.created_at:
-                # apply before delivering the first at-or-after event; the
-                # new subscription redelivers this item
-                return self._amend(self._pending.pop(0))
             self.counters.seen += 1
             if matches(t, self._definition):
                 self._process(t, t.created_at, is_probe=item.is_probe)
-        if self._pending:
-            return self._amend(self._pending.pop(0))
-        return None
 
     def _process(self, t: TweetRecord, at: datetime, *, is_probe: bool = False, **via):
         """Count and store one matched tweet at ``at``; log it only if it is a duplicate."""
@@ -237,7 +237,7 @@ class ObserverHandle:
             if self._clock is not None:
                 self._clock.sleep_until(attempt)
             try:
-                sub = self._source.subscribe(self._query, at=attempt, subscriber=self.counters.observer_id)
+                sub = self._subscribe(attempt)
             except SourceUnavailable:
                 continue
             self.counters.gaps[-1] = GapRecord(opened_at=opened_at, closed_at=attempt)
@@ -287,7 +287,7 @@ class ObserverHandle:
             return
         obj = {
             "event": event,
-            "at": format_timestamp(at) if at is not None else None,
+            "at": format_timestamp(at),
             "observerId": self.counters.observer_id,
             "corpus": self._definition.name,
         }

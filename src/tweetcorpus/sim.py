@@ -490,33 +490,34 @@ def _delivers(query: StreamQuery, t: TweetRecord, author_of: dict[int, int]) -> 
 
 
 class Subscription:
-    """One live stream: iterate StreamItems; disconnects raise.
+    """One live stream over ``[at, until)``: iterate StreamItems; disconnects raise.
 
-    The next disconnect window drops the stream at its start even when no
-    event falls inside it, if it starts before the scenario end.
+    ``until`` is cut at the scenario end.  The next disconnect window drops
+    the stream at its start even when no event falls inside it, if it
+    starts before ``until``.
     """
 
-    def __init__(self, source: "SimStreamSource", query: StreamQuery, at: datetime, subscriber=None):
+    def __init__(self, source: "SimStreamSource", query: StreamQuery, at: datetime, until: datetime, subscriber):
         self._source = source
         self.query = query
         self.at = at
+        self.until = min(until, source.scenario.end)
         self.subscriber = subscriber
         self._drop = _Accumulator(source.scenario.config.faults.drop_rate)
         self._probe_drop = _Accumulator(source.scenario.config.faults.probe_drop_rate)
 
     def __iter__(self):
         source = self._source
-        outage = next((start for start, _ in source._outages if start > self.at), None)
+        outage = next((start for start, _ in source._outages if self.at < start < self.until), None)
         key = (self.subscriber, self.query.follow_ids, self.query.track_terms, self.query.sample)
 
         delivered = source._delivered[key]
         redeliver = list(delivered) if self.at > source.scenario.start else []
-        events = source._events[bisect.bisect_left(source._events, self.at, key=_created_at):]
+        events = source._events[bisect.bisect_left(source._events, self.at, key=_created_at):
+                                bisect.bisect_left(source._events, outage or self.until, key=_created_at)]
         yield from redeliver
 
         for t, is_probe in events:
-            if outage is not None and outage <= t.created_at:
-                raise SourceDisconnected(at=outage)
             if not _delivers(self.query, t, source._author_of):
                 continue
             acc = self._probe_drop if is_probe else self._drop
@@ -526,7 +527,7 @@ class Subscription:
             item = StreamItem(kind="tweet", tweet=t, is_probe=is_probe)
             delivered.append(item)
             yield item
-        if outage is not None and outage < source.scenario.end:
+        if outage is not None:
             raise SourceDisconnected(at=outage)
 
 
@@ -543,11 +544,11 @@ class SimStreamSource:
 
     Timeline tweets and posted probes share one list of ``(tweet,
     is_probe)`` pairs in ``(created_at, id)`` order, sorted once here;
-    probes are inserted in place.  A subscription reads it from the first
-    event at or after its start, as it stands when reading begins, with
-    its own fault accumulators.  Disconnect windows become ``(start,
-    end)`` times, sorted once here too.  The accelerated clock is pure
-    data, and the source serves one caller thread, so it has no lock.
+    probes are inserted in place.  A subscription reads the slice of its
+    span, as it stands when reading begins, with its own fault
+    accumulators.  Disconnect windows become ``(start, end)`` times,
+    sorted once here too.  The accelerated clock is pure data, and the
+    source serves one caller thread, so it has no lock.
     """
 
     def __init__(self, scenario: Scenario):
@@ -577,19 +578,18 @@ class SimStreamSource:
 
     # -- subscription -----------------------------------------------------
 
-    def subscribe(self, query: StreamQuery, at: datetime | None = None, subscriber=None) -> Subscription:
-        """Open a stream from simulated time ``at`` (default scenario start).
+    def subscribe(self, query: StreamQuery, at: datetime, until: datetime, subscriber) -> Subscription:
+        """Open a stream over simulated time ``[at, until)``.
 
         Subscribing inside a disconnect window fails; after the scenario
-        end it succeeds and delivers nothing.  A reconnect redelivers the
-        last ``redeliver_on_reconnect`` items delivered to the same
-        ``subscriber`` on the same query; subscribers that give no id
-        share one buffer per query.
+        end, or with ``until`` at or before ``at``, it succeeds and delivers
+        nothing new.  A reconnect redelivers the last
+        ``redeliver_on_reconnect`` items delivered to the same
+        ``subscriber`` on the same query.
         """
-        at = at or self.scenario.start
         if any(start <= at < end for start, end in self._outages):
             raise SourceUnavailable(f"source unreachable at {format_timestamp(at)}")
-        return Subscription(self, query, at, subscriber)
+        return Subscription(self, query, at, until, subscriber)
 
     # -- lookups ------------------------------------------------------------
 

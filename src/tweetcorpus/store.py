@@ -76,7 +76,8 @@ class RehydrationResult:
 
 
 def _author(obj, stored_at) -> tuple[int, int]:
-    """A row's ``_id`` and ``userid``, a JSON integer; the rest is not decoded."""
+    """A row's ``_id`` and integer ``userid``, after the ledger's ``createdAt`` check; the rest is not decoded."""
+    _timestamp(obj, "createdAt")
     user_id = obj["userid"]
     if type(user_id) is not int:
         raise ValueError(f"'userid' must be an integer, got {user_id!r}")
@@ -107,14 +108,14 @@ def _cut_tail(path: Path, offset: int) -> int:
 
 class CorpusStore:
     """Directory-backed store; one writer handle per corpus, shared lock.
-    The open only lists the corpus files.  Every row read refreshes the
-    corpus's ledger; a first-use pass builds it for ``count``, ``ids``,
-    appends and plain ``dehydrate``.  ``torn`` maps a corpus to the bytes
-    of the torn lines its passes cut off."""
+    The open only lists the corpus files, and the first write makes the
+    directory.  Every row read refreshes the corpus's ledger; a first-use
+    pass builds it for ``count``, ``ids``, appends and plain ``dehydrate``.
+    ``torn`` maps a corpus to the bytes of the torn lines its passes cut
+    off."""
 
     def __init__(self, root):
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
         self._names = {path.stem for path in self.root.glob("*.ndjson")}
         self._index: dict[str, dict[int, bool]] = {}
@@ -147,7 +148,7 @@ class CorpusStore:
         from the same pass (nothing when ``row`` is None).  Each line's
         ``_id`` must be a JSON integer, its ``isProbe`` a JSON bool (absent
         is false) and its ``storedAt`` and ``createdAt`` timestamps with a UTC
-        offset."""
+        offset; ``row`` checks ``createdAt`` when it is given."""
         index, latest, rows = self._index.get(corpus, {}), self._latest.get(corpus), []
 
         def line(obj):
@@ -156,12 +157,13 @@ class CorpusStore:
             if type(tweet_id) is not int or type(is_probe) is not bool:
                 raise ValueError(f"'_id' must be an integer and 'isProbe' true or false, got {tweet_id!r} and {is_probe!r}")
             stored_at = _timestamp(obj, "storedAt")
-            _timestamp(obj, "createdAt")  # scans order by it: a row they would refuse fails every use
+            if row is None:
+                _timestamp(obj, "createdAt")  # scans order by it: a row they would refuse fails every use
+            else:
+                rows.append(row(obj, stored_at))  # before the ledger, which a refresh updates in place
             index[tweet_id] = is_probe
             if not is_probe and (latest is None or stored_at > latest):
                 latest = stored_at
-            if row is not None:
-                rows.append(row(obj, stored_at))
 
         path = self._path(corpus)
         if path.exists():
@@ -190,6 +192,7 @@ class CorpusStore:
         fh = self._handles.get(corpus)
         if fh is None:
             path = self._path(corpus)
+            self.root.mkdir(parents=True, exist_ok=True)
             fh = open(path, "a", encoding="utf-8")
             if fh.tell():
                 with open(path, "rb") as last:

@@ -612,6 +612,25 @@ class TestExitCodes:
         assert code == 4
         assert json.loads(err.strip().splitlines()[-1])["category"] == "store"
 
+    @pytest.mark.parametrize("command", ["store scan", "store dehydrate", "engagement", "probe report", "bias report"])
+    def test_a_command_that_reads_a_missing_store_is_4_and_creates_nothing(self, env, main_run, tmp_path, capsys,
+                                                                          command):
+        refs = tmp_path / "refs.json"
+        refs.write_text(json.dumps({"conversationReference": {"tag": []}, "groundTruth": {"tag": []}}),
+                        encoding="utf-8")
+        options = {
+            "store scan": ("--corpus", "tag"),
+            "store dehydrate": ("--corpus", "tag", "--out", tmp_path / "tag.ids"),
+            "engagement": ("--corpus", "tag"),
+            "probe report": ("--probe-log", env["root"] / "main" / "logs" / "probes-tag.ndjson",
+                             "--corpora", env["corpora"]),
+            "bias report": ("--references", refs),
+        }[command]
+        code, out, err = run_cli(capsys, *command.split(), "--store", tmp_path / "nostore" / "typo", *options)
+        assert code == 4 and out == ""
+        assert json.loads(err.strip().splitlines()[-1])["category"] == "store"
+        assert not (tmp_path / "nostore").exists() and not (tmp_path / "tag.ids").exists()
+
     def three_row_store(self, env, root):
         with CorpusStore(root) as store:
             for t in env["scenario"].timeline[:3]:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from test_corpus import oracle_matches
+from test_observer import candidate_def, keyword_def, oracle_ids, world
 
 from tweetcorpus.collect import (
     ProbePlan,
@@ -31,7 +31,6 @@ from tweetcorpus.collect import (
     validate_run,
 )
 from tweetcorpus.corpus import (
-    AccountQuery,
     CorpusDefinition,
     KeywordQuery,
     MetadataQuery,
@@ -40,29 +39,9 @@ from tweetcorpus.corpus import (
 )
 from tweetcorpus.errors import AnalysisError, ConfigError, StoreError
 from tweetcorpus.observer import AmendmentPlan
-from tweetcorpus.sim import EmergentParty, FaultSchedule, build_scenario, bundestag_mini
+from tweetcorpus.sim import FaultSchedule, build_scenario, bundestag_mini
 from tweetcorpus.store import CorpusStore, dehydrate
 from tweetcorpus.tweets import format_timestamp
-
-
-def world(seed=7, **kw):
-    base = dict(n_candidates=12, n_journalists=4, n_editors=2, n_public=30,
-                n_tweets=600, duration_s=6000, emergent=EmergentParty(account_count=5))
-    base.update(kw)
-    return build_scenario(bundestag_mini(seed=seed, **base))
-
-
-def candidate_def(s, name="kand"):
-    accounts = tuple((a.user_id, a.screen_name) for a in s.accounts_of_kind("candidate"))
-    return CorpusDefinition(name, AccountQuery(accounts=accounts), TimeWindow(s.start, s.end))
-
-
-def keyword_def(s, name="tag"):
-    return CorpusDefinition(name, KeywordQuery(hashtags=("wahl2013",)), TimeWindow(s.start, s.end))
-
-
-def oracle_ids(s, d):
-    return {t.id for t in s.timeline if oracle_matches(t, d)}
 
 
 class FailingStore(CorpusStore):

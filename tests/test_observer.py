@@ -2,9 +2,12 @@
 
 import json
 import math
+import tempfile
 from datetime import datetime, timedelta, timezone
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from test_corpus import oracle_matches
 
@@ -27,7 +30,7 @@ from tweetcorpus.sim import (
     open_source,
 )
 from tweetcorpus.store import CorpusStore
-from tweetcorpus.tweets import TweetRecord, extract_entities
+from tweetcorpus.tweets import TweetRecord, extract_entities, format_timestamp
 
 
 def world(seed=7, **kw):
@@ -58,18 +61,13 @@ def algebra_ok(snap):
     return snap.seen >= snap.matched == snap.stored + snap.duplicates
 
 
-def finish(h):
-    """Final counters of an observer that ``run_observer`` ran to completion."""
-    return h.counters
-
-
 class TestFaultFreeRuns:
     def test_account_corpus_equals_ground_truth(self, tmp_path):
         s = world()
         d = candidate_def(s)
         with CorpusStore(tmp_path / "store") as store:
             h = run_observer(d, open_source(s), store)
-            snap = finish(h)
+            snap = h.counters
             assert h.fatal_error is None
             assert snap.duplicates == 0
             assert algebra_ok(snap)
@@ -81,7 +79,7 @@ class TestFaultFreeRuns:
         d = keyword_def(s)
         with CorpusStore(tmp_path / "store") as store:
             h = run_observer(d, open_source(s), store)
-            snap = finish(h)
+            snap = h.counters
             assert snap.stored == len(oracle_ids(s, d)) > 0
             assert {r.tweet.id for r in store.scan("tag")} == oracle_ids(s, d)
 
@@ -89,7 +87,7 @@ class TestFaultFreeRuns:
         s = world()
         d = candidate_def(s)
         with CorpusStore(tmp_path / "store") as store:
-            finish(run_observer(d, open_source(s), store))
+            run_observer(d, open_source(s), store)
             for row in store.scan("kand"):
                 assert oracle_matches(row.tweet, d)
 
@@ -97,7 +95,7 @@ class TestFaultFreeRuns:
         s = world()
         defs = [candidate_def(s), keyword_def(s)]
         with CorpusStore(tmp_path / "store") as store:
-            snaps = [finish(run_observer(d, open_source(s), store)) for d in defs]
+            snaps = [run_observer(d, open_source(s), store).counters for d in defs]
             for d, snap in zip(defs, snaps):
                 assert store.count(d.name) == snap.stored
 
@@ -114,7 +112,7 @@ class TestFaultFreeRuns:
         with CorpusStore(tmp_path / "store") as store:
             src = open_source(s)
             handles = [run_observer(d, src, store) for d in defs]
-            snaps = [finish(h) for h in handles]
+            snaps = [h.counters for h in handles]
             for d, snap in zip(defs, snaps):
                 assert snap.duplicates == 0
                 assert algebra_ok(snap)
@@ -128,9 +126,9 @@ class CountingSource:
         self._source = source
         self.subscribed_at = []
 
-    def subscribe(self, query, at=None, subscriber=None):
+    def subscribe(self, query, at, until, subscriber):
         self.subscribed_at.append(at)
-        return self._source.subscribe(query, at=at, subscriber=subscriber)
+        return self._source.subscribe(query, at, until, subscriber)
 
     def __getattr__(self, name):
         return getattr(self._source, name)
@@ -150,7 +148,7 @@ class TestFaults:
         with CorpusStore(tmp_path / "store") as store:
             clock = AcceleratedClock(now=s.start)
             h = run_observer(d, open_source(s), store, clock=clock)
-            snap = finish(h)
+            snap = h.counters
             assert h.fatal_error is None
             assert snap.gaps == ((gap_start, gap_end),) or [
                 (g.opened_at, g.closed_at) for g in snap.gaps] == [(gap_start, gap_end)]
@@ -169,8 +167,8 @@ class TestFaults:
         gap_start = s.start + timedelta(seconds=3000)
         gap_end = s.start + timedelta(seconds=3015)
         with CorpusStore(tmp_path / "store") as store:
-            snap = finish(run_observer(d, source, store))
-        assert source.subscribed_at == [None] + [gap_start + timedelta(seconds=k) for k in (1, 3, 7, 15)]
+            snap = run_observer(d, source, store).counters
+        assert source.subscribed_at == [s.start] + [gap_start + timedelta(seconds=k) for k in (1, 3, 7, 15)]
         assert [(g.opened_at, g.closed_at) for g in snap.gaps] == [(gap_start, gap_end)]
         before = sum(t.created_at < gap_start for t in s.timeline)
         after = sum(t.created_at >= gap_end for t in s.timeline)
@@ -192,7 +190,7 @@ class TestFaults:
                 h = run_observer(d, open_source(s), store)
                 stored = {r.tweet.id for r in store.scan(d.name)}
             assert h.fatal_error is None
-            assert [(g.opened_at, g.closed_at) for g in finish(h).gaps] == gaps
+            assert [(g.opened_at, g.closed_at) for g in h.counters.gaps] == gaps
             assert stored == {t.id for t in s.timeline if not any(a <= t.created_at < b for a, b in gaps)}
 
     @pytest.mark.parametrize("window_holds_an_event", [False, True])
@@ -206,7 +204,7 @@ class TestFaults:
         s = world(faults=FaultSchedule(disconnect_windows=(DisconnectWindow(start, end),)))
         plan = AmendmentPlan(at=s.start + timedelta(seconds=last + 1), keywords=("btw13",))
         with CorpusStore(tmp_path / "store") as store:
-            snap = finish(run_observer(keyword_def(s), open_source(s), store, amendments=(plan,)))
+            snap = run_observer(keyword_def(s), open_source(s), store, amendments=(plan,)).counters
         assert [g.opened_at for g in snap.gaps] == [s.start + timedelta(seconds=start)]
         assert len(snap.amendments) == 1
 
@@ -214,7 +212,7 @@ class TestFaults:
         s = world(faults=FaultSchedule(disconnect_windows=(DisconnectWindow(2000, 2100),)))
         d = self.window_def(s)
         with CorpusStore(tmp_path / "store") as store:
-            snap = finish(run_observer(d, open_source(s), store))
+            snap = run_observer(d, open_source(s), store).counters
             stored = {r.tweet.id for r in store.scan(d.name)}
         by_id = {t.id: t for t in s.timeline}
         assert len(snap.gaps) == 1
@@ -229,7 +227,7 @@ class TestFaults:
         s = world(faults=FaultSchedule(disconnect_windows=(DisconnectWindow(1000, 1400),)))
         d = self.window_def(s)
         with CorpusStore(tmp_path / "store") as store:
-            snap = finish(run_observer(d, open_source(s), store))
+            snap = run_observer(d, open_source(s), store).counters
             stored = {r.tweet.id for r in store.scan(d.name)}
         assert snap.gaps[-1].closed_at is None
         cutoff = s.start + timedelta(seconds=1000)
@@ -239,7 +237,7 @@ class TestFaults:
         s = world(faults=FaultSchedule(drop_rate=0.1))
         d = self.window_def(s)
         with CorpusStore(tmp_path / "store") as store:
-            snap = finish(run_observer(d, open_source(s), store))
+            snap = run_observer(d, open_source(s), store).counters
         assert snap.dropped_by_source == math.floor(len(s.timeline) * 0.1)
         assert snap.stored == len(s.timeline) - snap.dropped_by_source
 
@@ -263,7 +261,7 @@ class TestAmendment:
         plan = AmendmentPlan(at=em, accounts=added)
         with CorpusStore(tmp_path / "store") as store:
             h = run_observer(narrow, open_source(s), store, amendments=(plan,))
-            snap = finish(h)
+            snap = h.counters
             assert h.fatal_error is None
             stored = {r.tweet.id for r in store.scan(narrow.name)}
 
@@ -302,8 +300,8 @@ class TestAmendment:
         added_ids = {u for u, _ in added}
         em = s.emergence_time
         with CorpusStore(tmp_path / "store") as store:
-            finish(run_observer(narrow, open_source(s), store,
-                              amendments=(AmendmentPlan(at=em, accounts=added),)))
+            run_observer(narrow, open_source(s), store,
+                         amendments=(AmendmentPlan(at=em, accounts=added),))
             stored = {r.tweet.id for r in store.scan(narrow.name)}
         recovered_pre = {t.id for t in s.timeline
                          if t.created_at < em and t.id in stored
@@ -330,10 +328,10 @@ class TestAmendment:
         ]
 
         class ScriptSource:
-            def subscribe(self, query, at=None, subscriber=None):
+            def subscribe(self, query, at, until, subscriber):
                 def gen():
                     for t in timeline:
-                        if at is None or t.created_at >= at:
+                        if at <= t.created_at < until:
                             yield StreamItem(kind="tweet", tweet=t)
                 return gen()
 
@@ -345,7 +343,7 @@ class TestAmendment:
         plan = AmendmentPlan(at=t0 + timedelta(seconds=50), accounts=((77, "neux"),))
         with CorpusStore(tmp_path / "store") as store:
             h = run_observer(d, ScriptSource(), store, amendments=(plan,))
-            snap = finish(h)
+            snap = h.counters
             assert h.fatal_error is None
             stored = {r.tweet.id for r in store.scan("a")}
         # authored backlog (id 2) recovered; the mention of the new account
@@ -360,7 +358,7 @@ class TestAmendment:
         plan = AmendmentPlan(at=s.start, accounts=added, backfill=False)
         with CorpusStore(tmp_path / "store") as store:
             h = run_observer(narrow, open_source(s), store, amendments=(plan,))
-            snap = finish(h)
+            snap = h.counters
             assert h.fatal_error is None
             assert snap.amendments[0].backfill == ()
             stored = {r.tweet.id for r in store.scan(narrow.name)}
@@ -380,7 +378,7 @@ class TestAmendment:
                 h = run_observer(narrow, open_source(s), store, amendments=(plan,))
             with pytest.raises(ConfigError, match=message):
                 raise h.fatal_error
-            assert finish(h).stored == 0
+            assert h.counters.stored == 0
 
     def test_keyword_amendment_widens_tracking(self, tmp_path):
         s = world()
@@ -389,7 +387,6 @@ class TestAmendment:
         plan = AmendmentPlan(at=s.start, keywords=("btw13",), backfill=False)
         with CorpusStore(tmp_path / "store") as store:
             h = run_observer(d, open_source(s), store, amendments=(plan,))
-            finish(h)
             assert h.fatal_error is None
             stored = {r.tweet.id for r in store.scan(d.name)}
         assert stored == oracle_ids(s, wide)
@@ -401,19 +398,19 @@ class TestRunLog:
         d = candidate_def(s)
         log = tmp_path / "run.ndjson"
         with CorpusStore(tmp_path / "store") as store:
-            snap = finish(run_observer(d, open_source(s), store, run_log=log))
+            snap = run_observer(d, open_source(s), store, run_log=log).counters
         assert snap.stored > 0 and snap.duplicates == 0
         (line,) = [json.loads(x) for x in log.read_text().splitlines()]
-        assert (line["event"], line["at"], line["corpus"]) == ("subscribed", None, "kand")
+        assert (line["event"], line["at"], line["corpus"]) == ("subscribed", format_timestamp(s.start), "kand")
 
     def test_gap_and_amendment_events_logged(self, tmp_path):
         s = world(faults=FaultSchedule(disconnect_windows=(DisconnectWindow(3000, 3015),)))
         added = tuple((a.user_id, a.screen_name) for a in s.accounts_of_kind("emergent"))
         log = tmp_path / "run.ndjson"
         with CorpusStore(tmp_path / "store") as store:
-            snap = finish(run_observer(
+            snap = run_observer(
                 candidate_def(s), open_source(s), store, run_log=log,
-                amendments=(AmendmentPlan(at=s.emergence_time, accounts=added),)))
+                amendments=(AmendmentPlan(at=s.emergence_time, accounts=added),)).counters
             rows = store.count("kand")
         lines = [json.loads(x) for x in log.read_text().splitlines()]
         assert {x["event"] for x in lines} == {"subscribed", "gap-open", "gap-close", "amendment", "duplicate"}
@@ -429,6 +426,79 @@ class TestRunLog:
         assert len(amendments) == 1
         assert amendments[0]["addedAccounts"] == [list(a) for a in added]
         assert "limitation" in amendments[0]
+
+
+def phase_truth(s, narrow, wide, at):
+    """Ground truth of a corpus amended at ``at``: ``narrow``'s before it, ``wide``'s from it on."""
+    return {t.id for t in s.timeline if oracle_matches(t, narrow if t.created_at < at else wide)}
+
+
+def assert_reconciles(s, snap, truth, stored):
+    """Missing ground-truth ids = ``dropped_by_source`` + the ids inside a
+    recorded gap, and nothing outside the ground truth is stored."""
+    def in_gap(t):
+        return any(g.opened_at <= t.created_at and (g.closed_at is None or t.created_at < g.closed_at)
+                   for g in snap.gaps)
+
+    missing = [t for t in s.timeline if t.id in truth - stored]
+    assert sum(not in_gap(t) for t in missing) == snap.dropped_by_source
+    assert stored <= truth
+
+
+class TestReconciliation:
+    # the amended account corpus where the stream once counted a drop for an
+    # event at or after the amendment, which the widened stream then stored
+    @pytest.mark.parametrize("seed", [1, 2, 14, 24, 37])
+    def test_no_drop_is_counted_past_an_amendment(self, tmp_path, seed):
+        s = build_scenario(bundestag_mini(seed, n_tweets=1500, faults=FaultSchedule(drop_rate=0.1)))
+        narrow, wide, added = TestAmendment().narrow_and_wide(s)
+        plan = AmendmentPlan(at=s.emergence_time, accounts=added, backfill=False)
+        with CorpusStore(tmp_path / "store") as store:
+            h = run_observer(narrow, open_source(s), store, amendments=(plan,))
+            stored = {r.tweet.id for r in store.scan(narrow.name)}
+        assert h.fatal_error is None and h.counters.gaps == []
+        assert_reconciles(s, h.counters, phase_truth(s, narrow, wide, plan.at), stored)
+
+    def test_counters_cover_the_corpus_window_only(self, tmp_path):
+        # both outages fall outside the 06:00-12:00 window
+        s = build_scenario(bundestag_mini(7, faults=FaultSchedule(
+            drop_rate=0.1, disconnect_windows=(DisconnectWindow(3600, 3660), DisconnectWindow(70000, 70060)))))
+        window = TimeWindow(s.start + timedelta(hours=6), s.start + timedelta(hours=12))
+        d = CorpusDefinition("tag", KeywordQuery(hashtags=("wahl2013",)), window)
+        with CorpusStore(tmp_path / "store") as store:
+            h = run_observer(d, open_source(s), store)
+            stored = {r.tweet.id for r in store.scan(d.name)}
+        snap = h.counters
+        assert h.fatal_error is None and snap.gaps == []
+        assert_reconciles(s, snap, oracle_ids(s, d), stored)
+        assert snap.seen == snap.matched == snap.stored == len(stored)
+
+    @given(seed=st.integers(0, 2**16), n_tweets=st.integers(1, 600), drop_rate=st.sampled_from((0, 0.05, 0.1, 0.3)),
+           outages=st.lists(st.tuples(st.integers(0, 5999), st.integers(1, 400)), max_size=3),
+           redeliver=st.integers(0, 20), sample=st.booleans(),
+           bounds=st.lists(st.integers(0, 6000), min_size=3, max_size=3, unique=True).map(sorted),
+           amend=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_drops_and_gaps_explain_every_missing_id(self, seed, n_tweets, drop_rate, outages, redeliver,
+                                                     sample, bounds, amend):
+        s = world(seed, n_tweets=n_tweets, faults=FaultSchedule(
+            drop_rate=drop_rate, redeliver_on_reconnect=redeliver,
+            disconnect_windows=tuple(DisconnectWindow(a, a + n) for a, n in outages)))
+        start, at, end = (s.start + timedelta(seconds=x) for x in bounds)
+        window = TimeWindow(start, end)
+        if sample:
+            d = wide = CorpusDefinition("alles", RandomSampleQuery(rate=1.0, seed=1), window)
+            plans = ()
+        else:
+            d = CorpusDefinition("tag", KeywordQuery(hashtags=("wahl2013",)), window)
+            wide = CorpusDefinition("tag", KeywordQuery(hashtags=("wahl2013", "btw13")), window)
+            plans = (AmendmentPlan(at=at, keywords=("btw13",), backfill=False),) if amend else ()
+        with tempfile.TemporaryDirectory() as tmp, CorpusStore(tmp) as store:
+            store.ensure_corpus(d.name)
+            h = run_observer(d, open_source(s), store, amendments=plans)
+            stored = {r.tweet.id for r in store.scan(d.name)}
+        assert h.fatal_error is None
+        assert_reconciles(s, h.counters, phase_truth(s, d, wide if plans else d, at), stored)
 
 
 class TestSinkFailures:
@@ -451,7 +521,7 @@ class TestSinkFailures:
         with CorpusStore(tmp_path / "store") as store:
             sink = self.Flaky(store, fail_times=10_000)
             h = run_observer(d, open_source(s), sink)
-            snap = finish(h)
+            snap = h.counters
         assert isinstance(h.fatal_error, StoreError)
         assert sink.calls == 1
         assert (snap.matched, snap.stored, snap.duplicates) == (1, 0, 0)
@@ -471,7 +541,7 @@ class TestProbesThroughObserver:
                 created_at=s.start + timedelta(seconds=100 + i * 600),
                 text=f"messung {i:02d} #wahl2013", hashtags=hashtags, mentions=mentions)))
         with CorpusStore(tmp_path / "store") as store:
-            finish(run_observer(d, src, store))
+            run_observer(d, src, store)
             flagged = store.ids(d.name, probes=True)
             visible = {r.tweet.id for r in store.scan(d.name)}
         assert flagged == {p.id for p in probes}

@@ -50,11 +50,6 @@ def keyword_def(s, name="tag"):
     return CorpusDefinition(name, KeywordQuery(hashtags=("wahl2013",)), TimeWindow(s.start, s.end))
 
 
-def finish(h):
-    """Final counters of an observer that ``run_observer`` ran to completion."""
-    return h.counters
-
-
 class TestInjection:
     def test_keyword_probes_match_and_carry_markers(self):
         s = world()
@@ -166,7 +161,7 @@ class TestCompleteness:
     def run_collection(self, s, d, store, count, **inject_kw):
         src = open_source(s)
         probes = inject_probes(d, src, count=count, **inject_kw)
-        finish(run_observer(d, src, store))
+        run_observer(d, src, store)
         return probes
 
     def test_lossless_run_scores_exactly_one(self, tmp_path):
@@ -194,7 +189,7 @@ class TestCompleteness:
         with CorpusStore(tmp_path / "store") as store:
             src = open_source(s)
             probes = inject_probes(d, src, interval=timedelta(seconds=100), count=50)
-            snap = finish(run_observer(d, src, store))
+            snap = run_observer(d, src, store).counters
             report = compute_completeness(store, probes, TimeWindow(s.start, s.end))
         gap = snap.gaps[0]
         missing = [iv for iv in report.intervals if iv.stored == 0]
@@ -209,7 +204,7 @@ class TestCompleteness:
             src = open_source(s)
             mine = inject_probes(d, src, interval=timedelta(seconds=500), count=5)
             others = inject_probes(d, src, interval=timedelta(seconds=777), count=5)
-            finish(run_observer(d, src, store))
+            run_observer(d, src, store)
             report = compute_completeness(store, mine, TimeWindow(s.start, s.end))
         assert {p.marker for p in mine} & {p.marker for p in others} == set()
         assert (report.created, report.stored) == (5, 5)
@@ -259,7 +254,7 @@ class TestReportOutputs:
         src = open_source(s)
         probes = inject_probes(d, src, count=4)
         with CorpusStore(tmp_path / "store") as store:
-            finish(run_observer(d, src, store))
+            run_observer(d, src, store)
             return probes, compute_completeness(store, probes, TimeWindow(s.start, s.end))
 
     def test_json_document_shape(self, tmp_path):

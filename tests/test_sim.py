@@ -270,28 +270,40 @@ class TestSourceDelivery:
             CorpusDefinition("geo", MetadataQuery(country="DE"), w),
         ]
         for d in defs:
-            tweets, _, _ = self.collect(src.subscribe(compile_query(d)))
+            tweets, _, _ = self.collect(src.subscribe(compile_query(d), s.start, s.end, "obs"))
             assert {t.id for t in tweets} >= ground_truth(s, d)
 
     def test_subscription_time_forward_only(self):
         s = build_scenario(mini())
         src = open_source(s)
         midpoint = s.start + timedelta(seconds=3000)
-        tweets, _, _ = self.collect(src.subscribe(StreamQuery(sample=True), at=midpoint))
+        tweets, _, _ = self.collect(src.subscribe(StreamQuery(sample=True), midpoint, s.end, "obs"))
         assert tweets and all(t.created_at >= midpoint for t in tweets)
+
+    def test_subscription_ends_at_until(self):
+        # the outage starts at ``until``: the stream ends first, without a disconnect
+        cfg = mini(faults=FaultSchedule(disconnect_windows=(DisconnectWindow(3000, 3100),)))
+        s = build_scenario(cfg)
+        src = open_source(s)
+        until = s.start + timedelta(seconds=3000)
+        tweets, _, _ = self.collect(src.subscribe(StreamQuery(sample=True), s.start, until, "obs"))
+        assert [t.id for t in tweets] == [t.id for t in s.timeline if t.created_at < until]
+        with pytest.raises(SourceDisconnected):
+            self.collect(src.subscribe(StreamQuery(sample=True), s.start, until + timedelta(seconds=1), "obs"))
 
     def test_subscribe_after_end_is_empty(self):
         s = build_scenario(mini())
         src = open_source(s)
-        tweets, probes, limits = self.collect(src.subscribe(StreamQuery(sample=True), at=s.end))
+        tweets, probes, limits = self.collect(src.subscribe(StreamQuery(sample=True), s.end, s.end, "obs"))
         assert (tweets, probes, limits) == ([], [], [])
 
     def test_drop_schedule_exact_and_reproducible(self):
         cfg = mini(faults=FaultSchedule(drop_rate=0.1))
         runs = []
         for _ in range(2):
-            src = open_source(build_scenario(cfg))
-            tweets, _, limits = self.collect(src.subscribe(StreamQuery(sample=True)))
+            s = build_scenario(cfg)
+            src = open_source(s)
+            tweets, _, limits = self.collect(src.subscribe(StreamQuery(sample=True), s.start, s.end, "obs"))
             runs.append(([t.id for t in tweets], limits))
         assert runs[0] == runs[1]
         delivered, limits = runs[0]
@@ -303,7 +315,7 @@ class TestSourceDelivery:
         cfg = mini(faults=FaultSchedule(drop_rate=0.1))
         s = build_scenario(cfg)
         src = open_source(s)
-        tweets, _, _ = self.collect(src.subscribe(StreamQuery(sample=True)))
+        tweets, _, _ = self.collect(src.subscribe(StreamQuery(sample=True), s.start, s.end, "obs"))
         got = [t.id for t in tweets]
         want = [t.id for i, t in enumerate(s.timeline, start=1) if math.floor(i * 0.1) == math.floor((i - 1) * 0.1)]
         assert got == want
@@ -314,7 +326,7 @@ class TestSourceDelivery:
         src = open_source(s)
         seen = []
         with pytest.raises(SourceDisconnected) as exc:
-            for item in src.subscribe(StreamQuery(sample=True)):
+            for item in src.subscribe(StreamQuery(sample=True), s.start, s.end, "obs"):
                 if item.kind == "tweet":
                     seen.append(item.tweet)
         assert exc.value.at == s.start + timedelta(seconds=2000)
@@ -326,8 +338,8 @@ class TestSourceDelivery:
         src = open_source(s)
         at = s.start + timedelta(seconds=2200)
         with pytest.raises(SourceUnavailable, match=f"^source unreachable at {format_timestamp(at)}$"):
-            src.subscribe(StreamQuery(sample=True), at=at)
-        resumed = src.subscribe(StreamQuery(sample=True), at=s.start + timedelta(seconds=2500))
+            src.subscribe(StreamQuery(sample=True), at, s.end, "obs")
+        resumed = src.subscribe(StreamQuery(sample=True), s.start + timedelta(seconds=2500), s.end, "obs")
         tweets, _, _ = self.collect(resumed)
         assert tweets
         assert all(t.created_at >= s.start + timedelta(seconds=2500) for t in tweets)
@@ -341,14 +353,14 @@ class TestSourceDelivery:
         for start, end in ((1500, 1800), (4000, 4300)):
             seen = []
             with pytest.raises(SourceDisconnected) as exc:
-                for item in src.subscribe(q, at=at):
+                for item in src.subscribe(q, at, s.end, "obs"):
                     seen.append(item.tweet.created_at)
             assert exc.value.at == s.start + timedelta(seconds=start)
             assert seen and all(at <= c < exc.value.at for c in seen)
             with pytest.raises(SourceUnavailable):
-                src.subscribe(q, at=s.start + timedelta(seconds=start + 150))
+                src.subscribe(q, s.start + timedelta(seconds=start + 150), s.end, "obs")
             at = s.start + timedelta(seconds=end)
-        tweets, _, _ = self.collect(src.subscribe(q, at=at))
+        tweets, _, _ = self.collect(src.subscribe(q, at, s.end, "obs"))
         assert tweets and all(t.created_at >= at for t in tweets) and tweets[-1] == s.timeline[-1]
 
     def test_redelivery_after_reconnect(self):
@@ -358,10 +370,10 @@ class TestSourceDelivery:
         q = StreamQuery(sample=True)
         first = []
         with pytest.raises(SourceDisconnected):
-            for item in src.subscribe(q):
+            for item in src.subscribe(q, s.start, s.end, "obs"):
                 if item.kind == "tweet":
                     first.append(item.tweet)
-        resumed_items = list(src.subscribe(q, at=s.start + timedelta(seconds=3100)))
+        resumed_items = list(src.subscribe(q, s.start + timedelta(seconds=3100), s.end, "obs"))
         replayed = [i.tweet.id for i in resumed_items[:10] if i.kind == "tweet"]
         assert replayed == [t.id for t in first[-10:]]
         fresh = [i.tweet for i in resumed_items[10:] if i.kind == "tweet"]
@@ -373,11 +385,11 @@ class TestSourceDelivery:
         src = open_source(s)
         q = StreamQuery(sample=True)
         with pytest.raises(SourceDisconnected):
-            for _ in src.subscribe(q):
+            for _ in src.subscribe(q, s.start, s.end, "obs"):
                 pass
         first = [t.id for t in s.timeline if t.created_at < s.start + timedelta(seconds=3000)]
         assert len(first) > 150
-        resumed = list(src.subscribe(q, at=s.start + timedelta(seconds=3100)))
+        resumed = list(src.subscribe(q, s.start + timedelta(seconds=3100), s.end, "obs"))
         assert [i.tweet.id for i in resumed[:150]] == first[-150:]
         assert resumed[150].tweet.created_at >= s.start + timedelta(seconds=3100)
 
@@ -389,13 +401,13 @@ class TestSourceDelivery:
         reconnect = s.start + timedelta(seconds=3100)
         first_a = []
         with pytest.raises(SourceDisconnected):
-            for item in src.subscribe(q, subscriber="a"):
+            for item in src.subscribe(q, s.start, s.end, "a"):
                 if item.kind == "tweet":
                     first_a.append(item.tweet)
         # another subscriber on the same query reads to the end meanwhile
-        b_items = list(src.subscribe(q, at=reconnect, subscriber="b"))
+        b_items = list(src.subscribe(q, reconnect, s.end, "b"))
         assert b_items[0].tweet.created_at >= reconnect, "b has nothing of its own to replay"
-        resumed = list(src.subscribe(q, at=reconnect, subscriber="a"))
+        resumed = list(src.subscribe(q, reconnect, s.end, "a"))
         replayed = [i.tweet.id for i in resumed[:10] if i.kind == "tweet"]
         assert replayed == [t.id for t in first_a[-10:]]
 
@@ -453,7 +465,7 @@ class TestProbes:
         posted = [src.post_probe(self.probe(s, sec, f"probe nummer {i} #wahl2013")) for i, sec in enumerate((100, 2000, 5000))]
         assert len({t.id for t in posted}) == 3
         assert all(t.id > max(x.id for x in s.timeline) for t in posted)
-        items = list(src.subscribe(StreamQuery(track_terms=("#wahl2013",))))
+        items = list(src.subscribe(StreamQuery(track_terms=("#wahl2013",)), s.start, s.end, "obs"))
         seq = [(i.tweet.created_at, i.is_probe) for i in items if i.kind == "tweet"]
         assert [t for t, _ in seq] == sorted(t for t, _ in seq)
         assert [i.tweet.id for i in items if i.is_probe] == [t.id for t in posted]
@@ -471,7 +483,7 @@ class TestProbes:
         src = open_source(s)
         for i in range(100):
             src.post_probe(self.probe(s, 10 + i * 50, f"messung {i:03d} #wahl2013"))
-        items = list(src.subscribe(StreamQuery(track_terms=("#wahl2013",))))
+        items = list(src.subscribe(StreamQuery(track_terms=("#wahl2013",)), s.start, s.end, "obs"))
         delivered_probes = [i for i in items if i.kind == "tweet" and i.is_probe]
         assert len(delivered_probes) == 90
 

@@ -216,7 +216,7 @@ class TestCount:
             with pytest.raises(StoreError, match=r"c\.ndjson:2: .*'createdAt': '2013-09-01T00:00:02' has no UTC offset"):
                 s2.scan("c")
 
-    @pytest.mark.parametrize("use", ["count", "ids", "dehydrate"])
+    @pytest.mark.parametrize("use", ["count", "ids", "dehydrate", "scan"])
     def test_ledger_refuses_a_created_at_without_utc_offset(self, tmp_path, use):
         # the rows a scan refuses are neither counted nor exported
         with CorpusStore(tmp_path) as s:
@@ -494,6 +494,15 @@ class TestDehydrate:
         with CorpusStore(tmp_path / "s") as s:
             with pytest.raises(StoreError, match=r"c\.ndjson:2: .*userid"):
                 dehydrate(s, "c", tmp_path / "c.ids", roster_index={101: "K-001"})
+
+    def test_roster_path_refuses_a_created_at_without_utc_offset(self, tmp_path):
+        with CorpusStore(tmp_path / "s") as s:
+            fill_store(s, 3)
+        change_second_row(tmp_path / "s" / "c.ndjson", createdAt="2013-09-01T00:00:02")
+        with CorpusStore(tmp_path / "s") as s:
+            with pytest.raises(StoreError, match=r"c\.ndjson:2: .*'createdAt': '2013-09-01T00:00:02' has no UTC offset"):
+                dehydrate(s, "c", tmp_path / "c.ids", roster_index={101: "K-001"})
+        assert not (tmp_path / "c.ids").exists()
 
 
 class TestRehydrate:
